@@ -29,9 +29,9 @@ from .constants import (
 from .electrostatics import FieldCoefficients, GateGeometry, disc_field_coeffs
 from .error_budget import admissible_voltage_error, dz_for_target
 from .hyperfine import HydrogenicState, hic_shift, matrix_element_2s1s, voltage_polynomial
-from .jacobi import eigensolve_block
 from .spectrum import (
     adiabatic_transfer_trace,
+    eigensolve_block,
     eq19_gap_dimensionless,
     find_anticrossings,
     spin_transfer_reports,

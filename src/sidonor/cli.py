@@ -31,8 +31,8 @@ from .error_budget import (
     relative_hic_error,
 )
 from .hyperfine import hic_shift
-from .jacobi import ConvergenceError
 from .spectrum import (
+    ConvergenceError,
     adiabatic_transfer_trace,
     find_anticrossings,
     refine_beta_grid,

@@ -80,14 +80,6 @@ def mhz_to_hz(freq_mhz: float) -> float:
     return freq_mhz * 1e6
 
 
-def nm_to_m(length_nm: float) -> float:
-    return length_nm * 1e-9
-
-
-def m_to_nm(length_m: float) -> float:
-    return length_m * 1e9
-
-
 # --- derived quantities ---------------------------------------------------
 
 def hyperfine_constant_A0(

@@ -7,6 +7,11 @@ coefficients 0.063 (quadratic shift scale) and 0.085 (linear sensitivity
 scale) of the c = 2a = 10 nm, D = 100 a geometry; a "recomputed" mode
 re-derives both from the electrostatics + hyperfine pipeline for any
 geometry so the two can be compared.
+
+The dx^2 bracket is q V^2 (2c^2 - a^2)/s^2 - l V (2c^4 - a^4)/(2 c^2 s^2)
+with s = a^2 + c^2, so its only nonzero root in V has the closed form
+:func:`nulling_voltage`; :func:`find_nulling_parameters` evaluates it on an
+(a, c) mesh instead of searching V numerically.
 """
 
 from __future__ import annotations
@@ -227,17 +232,17 @@ def find_nulling_parameters(
     mat: MaterialParams = DEFAULT_MATERIAL,
     pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[NullingResult]:
-    """Search (a, c, V) space for configurations nulling the dx^2 bracket.
+    """Configurations on an (a, c) mesh whose nulling voltage lies in the V range.
 
     ``ranges`` maps "a", "c", "V" to (lo, hi) intervals (meters / volts);
-    zero-width intervals pin the value.  A bracketing scan over a
-    ``grid_points`` grid per axis finds sign changes of the dx^2 bracket in
-    V, each refined by bisection to 1e-12 relative.  A configuration
-    qualifies when the dz admitted by ``target`` at the nulling voltage is at
-    least ``min_dz`` (with target = inf every sign change qualifies).  The
-    trivial root V = 0 is skipped.  Results are ordered deterministically by
-    (|bracket residual|, a, c, V); no sign change anywhere gives an empty
-    list, not an error.
+    zero-width intervals pin the value.  At each of the ``grid_points`` x
+    ``grid_points`` (a, c) mesh points the only nonzero root of the dx^2
+    bracket is the closed form :func:`nulling_voltage`; the trivial root
+    V = 0 is never reported.  A configuration qualifies when that root lies
+    in the closed V interval and the dz admitted by ``target`` there is at
+    least ``min_dz`` (with target = inf every root in range qualifies).
+    Results are ordered by (a, c); no root in range gives an empty list, not
+    an error.
     """
     for key in ("a", "c", "V"):
         if key not in ranges:
@@ -245,53 +250,32 @@ def find_nulling_parameters(
 
     d_fixed = ranges.get("D")
 
-    def axis(key):
+    def interval(key):
         lo, hi = ranges[key]
         if hi < lo:
             raise ValueError(f"empty interval for {key!r}")
+        return lo, hi
+
+    def axis(key):
+        lo, hi = interval(key)
         if hi == lo:
             return [lo]
         return [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
 
+    v_lo, v_hi = interval("V")
     results: list[NullingResult] = []
-    for a in axis("a"):
+    for a in axis("a"):  # ascending axes: rows come out ordered by (a, c)
         for c in axis("c"):
             D = d_fixed if d_fixed is not None else 100.0 * a
             gate = GateGeometry(kind="strip", a=a, c=c, D=D)
+            root = nulling_voltage(gate, coefficients, mat, pc)
+            if root is None or not v_lo <= root <= v_hi:
+                continue
+            adm = dz_for_target(gate, root, target, coefficients, mat, pc)
+            if adm >= min_dz:
+                bracket = dx2_bracket(gate, root, coefficients, mat, pc)
+                results.append(NullingResult(a=a, c=c, V=root, bracket=bracket, admissible_dz=adm))
 
-            def g(v):
-                return dx2_bracket(gate, v, coefficients, mat, pc)
-
-            vgrid = axis("V")
-            for v0, v1 in zip(vgrid, vgrid[1:]):
-                g0, g1 = g(v0), g(v1)
-                if g0 == 0.0 and v0 == 0.0:
-                    continue  # trivial root, both error terms vanish there
-                if g0 == 0.0:
-                    root = v0
-                elif g0 * g1 < 0.0:
-                    lo, hi, glo = v0, v1, g0
-                    while hi - lo > 1e-12 * max(abs(hi), 1.0):
-                        mid = 0.5 * (lo + hi)
-                        gm = g(mid)
-                        if gm == 0.0:
-                            lo = hi = mid
-                        elif glo * gm < 0.0:
-                            hi = mid
-                        else:
-                            lo, glo = mid, gm
-                    root = 0.5 * (lo + hi)
-                else:
-                    continue
-                if root <= 0.0:
-                    continue
-                adm = dz_for_target(gate, root, target, coefficients, mat, pc)
-                if adm >= min_dz:
-                    results.append(
-                        NullingResult(a=a, c=c, V=root, bracket=g(root), admissible_dz=adm)
-                    )
-
-    results.sort(key=lambda r: (abs(r.bracket), r.a, r.c, r.V))
     return results
 
 

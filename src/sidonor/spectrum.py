@@ -18,6 +18,11 @@ connects eigenvectors between adjacent grid points by maximal overlap
   turns into across the sweep, with the dominant weights at both ends.
 * :func:`eq19_gap` is the strong-field closed form for the splitting of the
   two lowest M + m = -1 levels at equal hyperfine couplings.
+
+Every diagonalization goes through :func:`eigensolve_block`, which runs
+LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
+makes one call per block for the entire beta grid, and the local refinement
+and bisection steps call it with a one-point stack.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .jacobi import eigensolve_block
 from .spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
@@ -44,6 +48,52 @@ _MAX_REFINE_DEPTH = 24
 
 # lowest electron level at strong field: both electrons down (M = -1)
 GROUND_QUARTET = (13, 14, 15, 16)
+
+
+class ConvergenceError(RuntimeError):
+    """The eigensolver failed, or met a non-finite input, eigenvalue or spread."""
+
+
+def eigensolve_block(h):
+    """Eigenvalues and orthonormal eigenvectors of a stack of symmetric matrices.
+
+    Args:
+        h: (..., n, n) array-like; every matrix must be exactly symmetric.
+
+    Returns:
+        (w, v): eigenvalues (..., n) ascending, eigenvectors as the columns of
+        v (..., n, n), each flipped so that its largest-magnitude component
+        (the first one on ties) is positive.  A stacked call gives the same
+        bits as one call per matrix.
+
+    Raises:
+        ValueError: the matrices are not square or not exactly symmetric.
+        ConvergenceError: LAPACK failed, or the input, an eigenvalue or the
+            spread between the lowest and highest eigenvalue is not finite.
+    """
+    a = np.asarray(h, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("block must be a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise ConvergenceError("non-finite entry in the matrix to diagonalize")
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
+        raise ValueError("block must be exactly symmetric")
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed: {exc}") from exc
+    if a.shape[-1] == 0:
+        return w, v
+    # the sweep works with level gaps, so the spectrum's width must be finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = w[..., -1] - w[..., 0]
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(spread))):
+        raise ConvergenceError("non-finite eigenvalue or eigenvalue spread")
+    # row of each column's largest |component|; the C-ordered transpose keeps
+    # argmax from copying the stack once more
+    k = np.argmax(np.abs(np.swapaxes(v, -1, -2), order="C"), axis=-1)[..., None, :]
+    v *= np.where(np.take_along_axis(v, k, axis=-2) < 0.0, -1.0, 1.0)
+    return w, v
 
 
 @dataclass(frozen=True)
@@ -121,14 +171,24 @@ class _BlockSystem:
             ix = np.ix_(sel, sel)
             self.parts[key] = (base[ix], with_beta[ix] - base[ix], with_mu[ix] - base[ix])
 
-    def mu_at(self, beta: float) -> float:
-        return MU_OVER_BETA * beta if self.mu_mode == "slaved" else self.params.mu
+    def stack(self, key: int, betas) -> np.ndarray:
+        """(n_beta, d, d) matrices of block ``key`` at every beta.
+
+        C0, Cb and Cm are each exactly symmetric, so every H(beta) is too and
+        the stack needs no symmetrization.
+        """
+        c0, cb, cm = self.parts[key]
+        col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
+        mu = MU_OVER_BETA * col if self.mu_mode == "slaved" else self.params.mu
+        h = col * cb
+        h += c0
+        h += mu * cm
+        return h
 
     def solve(self, key: int, beta: float):
-        c0, cb, cm = self.parts[key]
-        h = c0 + beta * cb + self.mu_at(beta) * cm
-        h = 0.5 * (h + h.T)  # exact symmetry despite rounding in the assembly
-        return eigensolve_block(h)
+        """Eigenpairs of block ``key`` at one beta (a one-point stack)."""
+        w, v = eigensolve_block(self.stack(key, [beta]))
+        return w[0], v[0]
 
 
 def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
@@ -178,6 +238,9 @@ def sweep_spectrum(
 ) -> SpectrumSweep:
     """Diagonalize all blocks over the beta grid with adiabatic continuation.
 
+    Each block is one stacked :func:`eigensolve_block` call over the whole
+    grid; adjacent points are then connected by greedy overlap matching.
+
     ``mu_mode="slaved"`` ties mu to beta through the physical ratio
     g_N mu_N / (2 mu_B) (a single swept field B); ``"fixed"`` holds
     ``template.mu`` constant.
@@ -192,19 +255,11 @@ def sweep_spectrum(
     tracks: list[Track] = []
     for key in BLOCK_ORDER:
         dim = len(BLOCKS[key])
-        energies = np.empty((betas.size, dim))
-        vectors = np.empty((betas.size, dim, dim))
-        prev_v = None
-        prev_b = None
-        for i, b in enumerate(betas):
-            w, v = system.solve(key, b)
-            if prev_v is not None:
-                perm = _match(system, key, prev_b, prev_v, b, v)
-                w = w[perm]
-                v = v[:, perm]
-            energies[i] = w
-            vectors[i] = v
-            prev_v, prev_b = v, b
+        energies, vectors = eigensolve_block(system.stack(key, betas))
+        for i in range(1, betas.size):
+            perm = _match(system, key, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
+            energies[i] = energies[i, perm]
+            vectors[i] = vectors[i][:, perm]
         for t in range(dim):
             tracks.append(
                 Track(

@@ -218,13 +218,22 @@ def test_validate_command_passes(capsys):
 
 def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
     from sidonor import cli
-    from sidonor.jacobi import ConvergenceError
+    from sidonor.spectrum import ConvergenceError
 
     def boom(*args, **kwargs):
         raise ConvergenceError("synthetic")
 
     monkeypatch.setattr(cli, "sweep_spectrum", boom)
     assert main(["spectrum", "--out-dir", str(tmp_path)]) == 3
+
+
+def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--format", "csv", "--out-dir", str(out),
+            "--set", "spin.beta.values=[1.0,1.7e308]"]
+    assert main(argv) == 3
+    assert "non-convergence" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_mass_override_requires_unit(tmp_path):

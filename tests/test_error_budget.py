@@ -155,6 +155,43 @@ def test_find_nulling_deterministic():
     assert first == second
 
 
+def _bracket_terms(a, c, v, q=0.063, l=0.085):
+    """The two terms of the published dx^2 bracket, written out independently."""
+    s = a * a + c * c
+    return q * v * v * (2 * c * c - a * a) / (s * s), l * v * (2 * c**4 - a**4) / (2 * c * c * s * s)
+
+
+def test_find_nulling_rows_zero_the_bracket_in_ac_order():
+    ranges = {"a": (3e-9, 8e-9), "c": (8e-9, 12e-9), "V": (0.1, 1.0)}
+    found = find_nulling_parameters(0.01, ranges, grid_points=21)
+    assert found
+    for r in found:
+        quad, lin = _bracket_terms(r.a, r.c, r.V)
+        assert abs(quad - lin) <= 1e-12 * (abs(quad) + abs(lin))
+        assert abs(r.bracket) <= 1e-12 * (abs(quad) + abs(lin))
+        assert 0.1 <= r.V <= 1.0
+    keys = [(r.a, r.c) for r in found]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+def test_find_nulling_omits_roots_outside_the_voltage_range():
+    ranges = {"a": (3e-9, 8e-9), "c": (8e-9, 12e-9), "V": (0.70, 0.75)}
+    found = find_nulling_parameters(math.inf, ranges, grid_points=11)
+    kept = {(r.a, r.c) for r in found}
+    outside = 0
+    (a_lo, a_hi), (c_lo, c_hi) = ranges["a"], ranges["c"]
+    for i in range(11):
+        for j in range(11):
+            a = a_lo + (a_hi - a_lo) * i / 10
+            c = c_lo + (c_hi - c_lo) * j / 10
+            quad, lin = _bracket_terms(a, c, 1.0)
+            root = lin / quad if quad else None  # nonzero root of quad V^2 - lin V
+            inside = root is not None and 0.70 <= root <= 0.75
+            assert ((a, c) in kept) == inside
+            outside += not inside
+    assert outside and kept  # the range splits the mesh
+
+
 def test_find_nulling_requires_ranges():
     with pytest.raises(ValueError):
         find_nulling_parameters(0.01, {"a": (A, A), "c": (C, C)})

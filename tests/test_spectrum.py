@@ -4,6 +4,7 @@ import pytest
 from sidonor.constants import DEFAULT_CONSTANTS
 from sidonor.spectrum import (
     adiabatic_transfer_trace,
+    eigensolve_block,
     eq19_gap,
     eq19_gap_dimensionless,
     find_anticrossings,
@@ -17,7 +18,6 @@ from sidonor.spin_hamiltonian import (
     block_decompose,
     build_hamiltonian,
 )
-from sidonor.jacobi import eigensolve_block
 
 REFERENCE = SpinParams(0.3, 0.4, beta=0.0, mu=0.0)  # asymmetric couplings of the worked case
 

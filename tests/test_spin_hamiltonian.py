@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from sidonor.jacobi import eigensolve_block
+from sidonor.spectrum import eigensolve_block
 from sidonor.spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
