@@ -21,6 +21,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, load_config
@@ -147,13 +149,24 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if centers:
         refined = refine_beta_grid(sweep.beta_grid, centers)
         sweep = sweep_spectrum(_spin_template(cfg), refined, mu_mode=cfg.mu_mode)
-    rows = []
-    for i, beta in enumerate(sweep.beta_grid):
-        for level, track in enumerate(sweep.tracks, start=1):
-            label, weight = track.dominant(i)
-            rows.append(
-                [float(beta), level, track.block, float(track.energies[i]), label, weight]
+    # per track: energies, dominant labels and weights at every beta, as the
+    # Python scalars Track.dominant would give
+    columns = []
+    for track in sweep.tracks:
+        weights = track.vectors**2
+        columns.append(
+            (
+                track.energies.tolist(),
+                [track.basis[j] for j in np.argmax(weights, axis=1).tolist()],
+                weights.max(axis=1).tolist(),
             )
+        )
+    rows = []
+    for i, beta in enumerate(sweep.beta_grid.tolist()):
+        for level, (track, (energy, label, weight)) in enumerate(
+            zip(sweep.tracks, columns), start=1
+        ):
+            rows.append([beta, level, track.block, energy[i], label[i], weight[i]])
     _emit(
         args,
         "spectrum",

@@ -9,6 +9,7 @@ dimensioned fields so CGS/SI mixups cannot slip in.  Dimensionless entries
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,15 +57,24 @@ def parse_quantity(value, kind: str, field_name: str) -> float:
             field_name, f"unknown unit {unit!r}; allowed: {sorted(units)}"
         )
     try:
-        return float(num) * units[unit]
+        x = float(num) * units[unit]
     except ValueError:
         raise ConfigError(field_name, f"bad number {num!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(field_name, f"must be finite, got {value!r}")
+    return x
 
 
 def parse_number(value, field_name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field_name, f"expected a plain number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(field_name, f"must be finite, got {value!r}")
+    return x
 
 
 def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
@@ -216,6 +226,8 @@ def build_run_config(data: dict) -> RunConfig:
         cfg.alpha_b = parse_number(spin["alpha_b"], "spin.alpha_b")
     if "beta" in spin:
         cfg.beta_grid = _grid(spin["beta"], "spin.beta", None)
+        if any(b >= c for b, c in zip(cfg.beta_grid, cfg.beta_grid[1:])):
+            raise ConfigError("spin.beta", "grid must be strictly ascending")
     if "mu" in spin:
         mu = spin["mu"]
         if mu == "slaved":

@@ -23,10 +23,19 @@ Every diagonalization goes through :func:`eigensolve_block`, which runs
 LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
 makes one call per block for the entire beta grid, and the local refinement
 and bisection steps call it with a one-point stack.
+
+Tracking is whole-grid too: one stacked product gives the |overlap| matrices
+of every pair of adjacent grid points of a block.  Where each matrix's row
+argmax is a permutation that leads every runner-up by ``OVERLAP_AMBIGUITY``,
+that permutation is exactly what greedy matching would return, and the track
+order is composed from it without a Python-level match.  Every other step
+falls back to the greedy :func:`_match` with midpoint refinement, which logs a
+warning when it reaches the refinement depth cap still ambiguous.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +54,8 @@ DEFAULT_BETA_GRID = np.linspace(0.2, 3.0, 401)
 
 OVERLAP_AMBIGUITY = 1e-6
 _MAX_REFINE_DEPTH = 24
+
+_log = logging.getLogger(__name__)
 
 # lowest electron level at strong field: both electrons down (M = -1)
 GROUND_QUARTET = (13, 14, 15, 16)
@@ -221,7 +232,14 @@ def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
 def _match(system: _BlockSystem, key: int, b0, v0, b1, v1, depth: int = 0) -> list[int]:
     """Overlap matching with deterministic local refinement on ambiguity."""
     perm, margin = _greedy_match(v0, v1)
-    if margin >= OVERLAP_AMBIGUITY or depth >= _MAX_REFINE_DEPTH:
+    if margin >= OVERLAP_AMBIGUITY:
+        return perm
+    if depth >= _MAX_REFINE_DEPTH:
+        _log.warning(
+            "block %d: overlap margin %.3g still below %g after %d refinements "
+            "on beta [%r, %r]; kept the greedy assignment",
+            key, margin, OVERLAP_AMBIGUITY, depth, float(b0), float(b1),
+        )
         return perm
     bm = 0.5 * (b0 + b1)
     _, vm = system.solve(key, bm)
@@ -239,7 +257,13 @@ def sweep_spectrum(
     """Diagonalize all blocks over the beta grid with adiabatic continuation.
 
     Each block is one stacked :func:`eigensolve_block` call over the whole
-    grid; adjacent points are then connected by greedy overlap matching.
+    grid.  Adjacent points are connected through one stacked product
+    |V[:-1]^T V[1:]| of the block's eigenvector columns: where the row
+    argmaxes of a step form a permutation and every row leads its runner-up
+    by at least ``OVERLAP_AMBIGUITY``, that permutation is the step's
+    matching; any other step runs the exact greedy :func:`_match`, midpoint
+    refinement included.  The tracks are bit-identical to greedy matching at
+    every grid point.
 
     ``mu_mode="slaved"`` ties mu to beta through the physical ratio
     g_N mu_N / (2 mu_B) (a single swept field B); ``"fixed"`` holds
@@ -252,21 +276,48 @@ def sweep_spectrum(
         raise ValueError("beta_grid must be strictly ascending")
 
     system = _BlockSystem(template, mu_mode)
+    rows = np.arange(betas.size)
     tracks: list[Track] = []
     for key in BLOCK_ORDER:
-        dim = len(BLOCKS[key])
         energies, vectors = eigensolve_block(system.stack(key, betas))
-        for i in range(1, betas.size):
-            perm = _match(system, key, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
-            energies[i] = energies[i, perm]
-            vectors[i] = vectors[i][:, perm]
+        dim = energies.shape[1]
+        # perm[i, t]: the raw column at grid point i that continues track t
+        perm = np.tile(np.arange(dim), (betas.size, 1))
+        if dim > 1:  # a one-level block is one track as it stands
+            # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
+            overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
+            np.abs(overlap, out=overlap)
+            best = np.argmax(overlap, axis=-1)
+            top = overlap.max(axis=-1)
+            # overwrite each row's maximum, so that the runner-up is what remains
+            np.put_along_axis(overlap, best[..., None], -1.0, axis=-1)
+            margin = top - overlap.max(axis=-1)
+            del overlap  # freed before the tracks are gathered, for peak memory
+            # Where each row's argmax is a different column and every row
+            # leads its runner-up by OVERLAP_AMBIGUITY, _greedy_match returns
+            # exactly these argmaxes: its first pick, the global maximum, is
+            # its row's argmax, and removing that row and column leaves every
+            # other row's argmax available; each greedy margin is over a
+            # subset of its row, so it is no smaller and nothing is refined.
+            fast = np.all(np.sort(best, axis=-1) == np.arange(dim), axis=-1)
+            fast &= np.all(margin >= OVERLAP_AMBIGUITY, axis=-1)
+            cols = list(range(dim))
+            for i, (ok, am) in enumerate(zip(fast.tolist(), best.tolist()), start=1):
+                if ok:
+                    # overlaps are row-permutation invariant: compose with the raw argmax
+                    cols = [am[c] for c in cols]
+                else:
+                    cols = _match(
+                        system, key, betas[i - 1], vectors[i - 1][:, cols], betas[i], vectors[i]
+                    )
+                perm[i] = cols
         for t in range(dim):
             tracks.append(
                 Track(
                     block=key,
                     basis=BLOCKS[key],
-                    energies=energies[:, t].copy(),
-                    vectors=vectors[:, :, t].copy(),
+                    energies=energies[rows, perm[:, t]],
+                    vectors=vectors[rows, :, perm[:, t]],
                 )
             )
     return SpectrumSweep(beta_grid=betas, tracks=tracks, params=template, mu_mode=mu_mode)
@@ -363,25 +414,25 @@ def _crossing_reports(sweep: SpectrumSweep, crossing_tol: float) -> list[Anticro
                 )
                 if np.max(np.abs(d)) <= crossing_tol * scale:
                     continue  # degenerate pair everywhere, not a crossing
-                for i in range(betas.size - 1):
-                    if d[i] == 0.0 or d[i] * d[i + 1] < 0.0:
-                        frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
-                        bstar = betas[i] + frac * (betas[i + 1] - betas[i])
-                        lab_s, w_s = block_tracks[s].dominant(i + 1)
-                        lab_t, w_t = block_tracks[t].dominant(i + 1)
-                        out.append(
-                            AnticrossingReport(
-                                pair=(lab_s, lab_t),
-                                beta_star=float(bstar),
-                                min_gap=0.0,
-                                eq19_gap=None,
-                                block=key,
-                                kind="crossing",
-                                partner=None,
-                                enter_weight=w_s,
-                                exit_weight=w_t,
-                            )
+                hits = np.flatnonzero((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0.0))
+                for i in hits.tolist():
+                    frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
+                    bstar = betas[i] + frac * (betas[i + 1] - betas[i])
+                    lab_s, w_s = block_tracks[s].dominant(i + 1)
+                    lab_t, w_t = block_tracks[t].dominant(i + 1)
+                    out.append(
+                        AnticrossingReport(
+                            pair=(lab_s, lab_t),
+                            beta_star=float(bstar),
+                            min_gap=0.0,
+                            eq19_gap=None,
+                            block=key,
+                            kind="crossing",
+                            partner=None,
+                            enter_weight=w_s,
+                            exit_weight=w_t,
                         )
+                    )
     return out
 
 

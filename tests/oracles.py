@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: derivatives come from
 Richardson-extrapolated central differences, eigenvalues from inertia
 counting (LDL^T pivots of A - x I) plus bisection on the characteristic
-polynomial's sign structure.
+polynomial's sign structure.  The one exception is
+:func:`per_point_tracks`, the per-grid-point matching loop that the whole-grid
+tracking in ``sweep_spectrum`` must reproduce bit for bit.
 """
 
 import numpy as np
@@ -58,3 +60,26 @@ def eig_bisect(a, tol=1e-13):
                 lo = mid
         out.append(0.5 * (lo + hi))
     return np.array(out)
+
+
+def per_point_tracks(template, beta_grid, mu_mode):
+    """Reference adiabatic tracking: one greedy ``_match`` per grid point.
+
+    Returns a list of (block, energies, vectors) in ``sweep_spectrum``'s
+    track order.
+    """
+    from sidonor.spectrum import _BlockSystem, _match, eigensolve_block
+    from sidonor.spin_hamiltonian import BLOCK_ORDER, BLOCKS
+
+    betas = np.asarray(beta_grid, dtype=float)
+    system = _BlockSystem(template, mu_mode)
+    out = []
+    for key in BLOCK_ORDER:
+        energies, vectors = eigensolve_block(system.stack(key, betas))
+        for i in range(1, betas.size):
+            perm = _match(system, key, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
+            energies[i] = energies[i, perm]
+            vectors[i] = vectors[i][:, perm]
+        for t in range(len(BLOCKS[key])):
+            out.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
+    return out

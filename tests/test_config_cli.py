@@ -4,7 +4,7 @@ import json
 import pytest
 
 from sidonor.cli import main
-from sidonor.config import ConfigError, load_config, parse_quantity, set_by_path
+from sidonor.config import ConfigError, load_config, parse_number, parse_quantity, set_by_path
 
 DISC_CONFIG = {
     "gate": {"kind": "disc", "a": "5 nm", "c": "10 nm"},
@@ -234,6 +234,37 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
     assert main(argv) == 3
     assert "non-convergence" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, field",
+    [
+        ("anticross", "spin.alpha_a=NaN", "spin.alpha_a"),
+        ("hic", 'gate.a="nan nm"', "gate.a"),
+        ("anticross", "spin.beta.values=[1.0,0.5]", "spin.beta"),
+        ("anticross", "spin.mu=Infinity", "spin.mu"),
+    ],
+    ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu"],
+)
+def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, override, field
+):
+    cfg = write_config(tmp_path, DISC_CONFIG)
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--out-dir", str(out), "--set", override]
+    assert main(argv) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_parsers_reject_non_finite_numbers():
+    for value in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ConfigError, match="spin.alpha_a"):
+            parse_number(value, "spin.alpha_a")
+    for value in ("nan nm", "inf nm", "-inf nm", "1e999 nm", "1e308 cm^-3"):
+        kind = "density" if value.endswith("cm^-3") else "length"
+        with pytest.raises(ConfigError, match="gate.a"):
+            parse_quantity(value, kind, "gate.a")
 
 
 def test_mass_override_requires_unit(tmp_path):

@@ -1,6 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import per_point_tracks
 
+from sidonor import spectrum
 from sidonor.constants import DEFAULT_CONSTANTS
 from sidonor.spectrum import (
     adiabatic_transfer_trace,
@@ -83,6 +89,77 @@ def test_mu_modes_differ():
     e_slaved = sorted(t.energies[0] for t in slaved.tracks)
     e_fixed = sorted(t.energies[0] for t in fixed.tracks)
     assert not np.allclose(e_slaved, e_fixed, atol=1e-6)
+
+
+# --- whole-grid tracking against the per-point matching loop ---------------
+
+def assert_same_tracks(template, grid, mu_mode):
+    sweep = sweep_spectrum(template, grid, mu_mode)
+    reference = per_point_tracks(template, grid, mu_mode)
+    assert len(sweep.tracks) == len(reference)
+    for track, (block, energies, vectors) in zip(sweep.tracks, reference):
+        assert track.block == block
+        assert np.array_equal(track.energies, energies)
+        assert np.array_equal(track.vectors, vectors)
+
+
+@pytest.mark.parametrize("alphas", [(0.3, 0.4), (0.0, 0.0)], ids=["readme", "bare"])
+@pytest.mark.parametrize("mu_mode", ["slaved", "fixed"])
+def test_tracking_equals_per_point_loop(alphas, mu_mode):
+    assert_same_tracks(SpinParams(*alphas, beta=0.0, mu=0.02), spectrum.DEFAULT_BETA_GRID, mu_mode)
+
+
+def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
+    # one grid step of this sweep has a row argmax that is no permutation
+    calls = []
+    match = spectrum._match
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return match(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_match", counted)
+    assert_same_tracks(SpinParams(0.01, 0.05, 0.0, 0.0), np.linspace(0.2, 3.0, 15), "slaved")
+    assert calls
+
+
+def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
+    # every margin is below 2, so every step refines to the depth cap
+    monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
+    monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
+    assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), "slaved")
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(
+    alpha_a=st.floats(0.0, 1.0),
+    alpha_b=st.floats(0.0, 1.0),
+    start=st.floats(0.0, 2.5),
+    width=st.floats(0.1, 3.0),
+    points=st.integers(3, 60),
+    mu_mode=st.sampled_from(["slaved", "fixed"]),
+    mu=st.floats(-0.01, 0.01),
+)
+def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu_mode, mu):
+    grid = np.linspace(start, start + width, points)
+    assert_same_tracks(SpinParams(alpha_a, alpha_b, 0.0, mu), grid, mu_mode)
+
+
+def test_refinement_give_up_is_logged(monkeypatch, caplog):
+    monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
+    monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
+    with caplog.at_level(logging.WARNING, logger="sidonor.spectrum"):
+        sweep_spectrum(REFERENCE, beta_grid=[0.5, 1.0, 1.5], mu_mode="slaved")
+    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    # blocks 0, 1, -1 can be ambiguous; each of 2 steps splits once into 2 halves
+    assert len(messages) == 3 * 2 * 2
+    assert any("block -1" in m and "beta [1.25, 1.5]" in m for m in messages)
+
+
+def test_no_give_up_warning_by_default(caplog):
+    with caplog.at_level(logging.WARNING, logger="sidonor.spectrum"):
+        sweep_spectrum(REFERENCE, beta_grid=np.linspace(0.2, 3.0, 57), mu_mode="slaved")
+    assert not caplog.records
 
 
 # --- uncoupled limit: crossings, no anticrossings ---------------------------
