@@ -20,6 +20,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -43,18 +44,13 @@ from .spectrum import (
 from .spin_hamiltonian import SpinParams
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):  # includes numpy float64 (a float subclass)
-        return repr(float(x))
-    return "" if x is None else str(x)
-
-
 def _write_csv(path: str, header: list[str], rows: list[list]):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        # cells are Python int/float/str/None: csv writes str(x), which is
+        # repr for a float, and "" for None
+        writer.writerows(rows)
 
 
 def _write_json(path: str, payload):
@@ -96,6 +92,10 @@ def cmd_hic(cfg: RunConfig, args) -> int:
 
 def cmd_error_budget(cfg: RunConfig, args) -> int:
     gate = _require_gate(cfg)
+    if gate.kind != "strip":
+        raise ConfigError("gate.kind", "the error budget needs a strip gate")
+    if not all(v >= 0 for v in cfg.voltages):
+        raise ConfigError("voltage", "the error budget needs non-negative voltages")
     rows = []
     for mode in ("published", "recomputed"):
         for v in cfg.voltages:
@@ -186,33 +186,11 @@ def cmd_anticross(cfg: RunConfig, args) -> int:
 def _write_anticross(args, sweep):
     reports = find_anticrossings(sweep)
     traces = adiabatic_transfer_trace(sweep)
+    # the report dataclasses define the record keys; json writes the pair
+    # tuple as a list and sort_keys fixes the key order
     payload = {
-        "anticrossings": [
-            {
-                "pair": list(r.pair),
-                "beta_star": r.beta_star,
-                "min_gap": r.min_gap,
-                "eq19_gap": r.eq19_gap,
-                "block": r.block,
-                "kind": r.kind,
-                "partner": r.partner,
-                "enter_weight": r.enter_weight,
-                "exit_weight": r.exit_weight,
-            }
-            for r in reports
-        ],
-        "transfer_traces": [
-            {
-                "block": t.block,
-                "level": t.level,
-                "enter_label": t.enter_label,
-                "exit_label": t.exit_label,
-                "enter_weight": t.enter_weight,
-                "exit_weight": t.exit_weight,
-                "conclusive": t.conclusive,
-            }
-            for t in traces
-        ],
+        "anticrossings": [asdict(r) for r in reports],
+        "transfer_traces": [asdict(t) for t in traces],
     }
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "anticrossings.json")

@@ -12,11 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import DEFAULT_CONSTANTS, MaterialParams
-from .electrostatics import GateGeometry
-from .error_budget import DEFAULT_LINE_WIDTH, PlacementError
+from .electrostatics import GateGeometry, field_coeffs
+from .error_budget import DEFAULT_LINE_WIDTH, PlacementError, linear_grid
+from .spectrum import DEFAULT_BETA_GRID
 
 
 class ConfigError(Exception):
@@ -77,11 +76,18 @@ def parse_number(value, field_name: str) -> float:
     return x
 
 
+def _object(value, field_name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(field_name, "must be an object")
+    return value
+
+
 def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
     """Grid entry: {"values": [...]} or {"start": ..., "stop": ..., "points": n}."""
     def one(v, name):
         return parse_quantity(v, kind, name) if kind else parse_number(v, name)
 
+    _object(section, field_name)
     if "values" in section:
         vals = section["values"]
         if not isinstance(vals, list) or not vals:
@@ -95,9 +101,7 @@ def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
         raise ConfigError(f"{field_name}.points", "must be a positive integer")
     lo = one(section["start"], f"{field_name}.start")
     hi = one(section["stop"], f"{field_name}.stop")
-    if n == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    return linear_grid(lo, hi, n)
 
 
 @dataclass
@@ -111,7 +115,7 @@ class RunConfig:
     nulling_ranges: dict | None = None
     alpha_a: float = 0.3
     alpha_b: float = 0.4
-    beta_grid: list[float] = field(default_factory=lambda: list(np.linspace(0.2, 3.0, 401)))
+    beta_grid: list[float] = field(default_factory=DEFAULT_BETA_GRID.tolist)
     mu_mode: str = "slaved"
     mu_fixed: float = 0.0
 
@@ -156,9 +160,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
 def build_run_config(data: dict) -> RunConfig:
     cfg = RunConfig()
 
-    mat = data.get("material", {})
-    if not isinstance(mat, dict):
-        raise ConfigError("material", "must be an object")
+    mat = _object(data.get("material", {}), "material")
     mat_kwargs = {}
     for key, kind in (
         ("a_star", "length"),
@@ -171,12 +173,13 @@ def build_run_config(data: dict) -> RunConfig:
             mat_kwargs[key] = parse_quantity(mat[key], kind, f"material.{key}")
     if "eps_r" in mat:
         mat_kwargs["eps_r"] = parse_number(mat["eps_r"], "material.eps_r")
+    for key in ("a_star", "eps_r", "Delta_E"):
+        if key in mat_kwargs and not (mat_kwargs[key] > 0):
+            raise ConfigError(f"material.{key}", "must be positive")
     cfg.material = MaterialParams(**mat_kwargs)
 
     if "gate" in data:
-        g = data["gate"]
-        if not isinstance(g, dict):
-            raise ConfigError("gate", "must be an object")
+        g = _object(data["gate"], "gate")
         if "kind" not in g:
             raise ConfigError("gate.kind", "required")
         kwargs = {"kind": g["kind"]}
@@ -185,41 +188,49 @@ def build_run_config(data: dict) -> RunConfig:
                 kwargs[key] = parse_quantity(g[key], "length", f"gate.{key}")
         try:
             cfg.gate = GateGeometry(**kwargs)
+            field_coeffs(cfg.gate, 1.0)  # finite lengths can still overflow here
         except (TypeError, ValueError) as exc:
             raise ConfigError("gate", str(exc)) from None
+        except OverflowError:
+            raise ConfigError("gate", "lengths overflow the field model") from None
 
     if "voltage" in data:
         cfg.voltages = _grid(data["voltage"], "voltage", "voltage")
 
     if "placement" in data:
-        p = data["placement"]
+        p = _object(data["placement"], "placement")
         cfg.placement = PlacementError(
             dx=parse_quantity(p.get("dx", "0 nm"), "length", "placement.dx"),
             dz=parse_quantity(p.get("dz", "0 nm"), "length", "placement.dz"),
         )
 
-    eb = data.get("error_budget", {})
+    eb = _object(data.get("error_budget", {}), "error_budget")
     if "target" in eb:
         cfg.target = parse_number(eb["target"], "error_budget.target")
     if "line_width" in eb:
         cfg.line_width = parse_quantity(eb["line_width"], "frequency", "error_budget.line_width")
+        if not (cfg.line_width >= 0):
+            raise ConfigError("error_budget.line_width", "must be non-negative")
     if "ranges" in eb:
+        given = _object(eb["ranges"], "error_budget.ranges")
         ranges = {}
         for key, kind in (("a", "length"), ("c", "length"), ("V", "voltage")):
-            if key not in eb["ranges"]:
-                raise ConfigError(f"error_budget.ranges.{key}", "required")
-            pair = eb["ranges"][key]
+            name = f"error_budget.ranges.{key}"
+            if key not in given:
+                raise ConfigError(name, "required")
+            pair = given[key]
             if not isinstance(pair, list) or len(pair) != 2:
-                raise ConfigError(
-                    f"error_budget.ranges.{key}", "expected [low, high]"
-                )
-            ranges[key] = (
-                parse_quantity(pair[0], kind, f"error_budget.ranges.{key}[0]"),
-                parse_quantity(pair[1], kind, f"error_budget.ranges.{key}[1]"),
-            )
+                raise ConfigError(name, "expected [low, high]")
+            lo = parse_quantity(pair[0], kind, f"{name}[0]")
+            hi = parse_quantity(pair[1], kind, f"{name}[1]")
+            if not (hi >= lo):
+                raise ConfigError(name, "low end above high end")
+            if kind == "length" and not (lo > 0):
+                raise ConfigError(name, "lengths must be positive")
+            ranges[key] = (lo, hi)
         cfg.nulling_ranges = ranges
 
-    spin = data.get("spin", {})
+    spin = _object(data.get("spin", {}), "spin")
     if "alpha_a" in spin:
         cfg.alpha_a = parse_number(spin["alpha_a"], "spin.alpha_a")
     if "alpha_b" in spin:

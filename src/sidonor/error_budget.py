@@ -223,6 +223,17 @@ def dz_for_target(
     return target / coeff
 
 
+def linear_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced floats from ``lo`` to ``hi`` inclusive; ``[lo]`` for one.
+
+    Every grid of the package (config voltage and beta grids, the nulling
+    mesh axes) is laid out here, so equal (lo, hi, points) give equal floats.
+    """
+    if points == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
+
+
 def find_nulling_parameters(
     target: float,
     ranges: dict,
@@ -242,32 +253,20 @@ def find_nulling_parameters(
     in the closed V interval and the dz admitted by ``target`` there is at
     least ``min_dz`` (with target = inf every root in range qualifies).
     Results are ordered by (a, c); no root in range gives an empty list, not
-    an error.
+    an error.  Each mesh point is a strip gate with D = 100 a.
     """
     for key in ("a", "c", "V"):
         if key not in ranges:
             raise ValueError(f"ranges must contain {key!r}")
-
-    d_fixed = ranges.get("D")
-
-    def interval(key):
-        lo, hi = ranges[key]
-        if hi < lo:
+        if not ranges[key][0] <= ranges[key][1]:
             raise ValueError(f"empty interval for {key!r}")
-        return lo, hi
-
-    def axis(key):
-        lo, hi = interval(key)
-        if hi == lo:
-            return [lo]
-        return [lo + (hi - lo) * i / (grid_points - 1) for i in range(grid_points)]
-
-    v_lo, v_hi = interval("V")
+    (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
+    a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)
+    c_axis = linear_grid(c_lo, c_hi, 1 if c_hi == c_lo else grid_points)
     results: list[NullingResult] = []
-    for a in axis("a"):  # ascending axes: rows come out ordered by (a, c)
-        for c in axis("c"):
-            D = d_fixed if d_fixed is not None else 100.0 * a
-            gate = GateGeometry(kind="strip", a=a, c=c, D=D)
+    for a in a_axis:  # ascending axes: rows come out ordered by (a, c)
+        for c in c_axis:
+            gate = GateGeometry(kind="strip", a=a, c=c, D=100.0 * a)
             root = nulling_voltage(gate, coefficients, mat, pc)
             if root is None or not v_lo <= root <= v_hi:
                 continue

@@ -213,7 +213,6 @@ def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
     n = O.shape[0]
     perm = [-1] * n
     margin = np.inf
-    avail_r = set(range(n))
     avail_c = set(range(n))
     work = O.copy()
     for _ in range(n):
@@ -222,7 +221,6 @@ def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
         if alternatives:
             margin = min(margin, O[i, j] - max(alternatives))
         perm[i] = j
-        avail_r.discard(i)
         avail_c.discard(j)
         work[i, :] = -1.0
         work[:, j] = -1.0
@@ -341,18 +339,15 @@ def _exchange_report(
     j_hi = track.basis.index(enter_label)
     j_lo = track.basis.index(exit_label)
     whi = wts[:, j_hi]
-    # half-transfer point of the entering character, scanned from the top;
-    # if the entering weight never reaches 1/2 (strong mixing), fall back to
+    # half-transfer point of the entering character: the highest step where
+    # f turns from negative to non-negative; if the entering weight never reaches 1/2 (strong mixing), fall back to
     # the dominance-swap point between the two exchanging characters
     f = whi - 0.5 if whi[-1] >= 0.5 else whi - wts[:, j_lo]
-    bracket = None
-    for i in range(n - 1, 0, -1):
-        if f[i] >= 0.0 and f[i - 1] < 0.0:
-            bracket = (i - 1, i)
-            break
-    if bracket is None:
+    ups = np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))
+    if ups.size == 0:
         return None
-    i0, i1 = bracket
+    i0 = int(ups[-1])
+    i1 = i0 + 1
 
     v_ref = track.vectors[i1]
     lo, hi = betas[i0], betas[i1]
@@ -371,11 +366,10 @@ def _exchange_report(
 
     w, v = system.solve(track.block, beta_star)
     col = _locate_track_column(v_ref, v)
-    others = [abs(w[j] - w[col]) for j in range(len(w)) if j != col]
-    gap = min(others)
-    partner_col = min(
-        (j for j in range(len(w)) if j != col), key=lambda j: abs(w[j] - w[col])
-    )
+    dist = np.abs(w - w[col])
+    dist[col] = np.inf
+    partner_col = int(np.argmin(dist))
+    gap = dist[partner_col]
     partner = track.basis[int(np.argmax(np.abs(v[:, partner_col])))]
 
     scale = max(1.0, float(np.max(np.abs(w))))
@@ -414,7 +408,12 @@ def _crossing_reports(sweep: SpectrumSweep, crossing_tol: float) -> list[Anticro
                 )
                 if np.max(np.abs(d)) <= crossing_tol * scale:
                     continue  # degenerate pair everywhere, not a crossing
-                hits = np.flatnonzero((d[:-1] == 0.0) | (d[:-1] * d[1:] < 0.0))
+                # explicit sign tests: a product of the gaps can overflow, or
+                # underflow to -0.0 and hide a real sign change
+                d0, d1 = d[:-1], d[1:]
+                hits = np.flatnonzero(
+                    (d0 == 0.0) | ((d0 < 0.0) & (d1 > 0.0)) | ((d0 > 0.0) & (d1 < 0.0))
+                )
                 for i in hits.tolist():
                     frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
                     bstar = betas[i] + frac * (betas[i + 1] - betas[i])

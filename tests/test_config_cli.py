@@ -1,10 +1,14 @@
 import csv
 import json
+import math
+import os
 
 import pytest
 
+from sidonor import cli
 from sidonor.cli import main
 from sidonor.config import ConfigError, load_config, parse_number, parse_quantity, set_by_path
+from sidonor.error_budget import find_nulling_parameters
 
 DISC_CONFIG = {
     "gate": {"kind": "disc", "a": "5 nm", "c": "10 nm"},
@@ -185,6 +189,44 @@ def test_spectrum_command(tmp_path):
     pairs = {tuple(r["pair"]) for r in report["anticrossings"] if r["kind"] == "anticrossing"}
     assert (15, 12) in pairs and (13, 10) in pairs
     assert len(report["transfer_traces"]) == 16
+    report_keys = {"pair", "beta_star", "min_gap", "eq19_gap", "block", "kind", "partner",
+                   "enter_weight", "exit_weight"}
+    trace_keys = {"block", "level", "enter_label", "exit_label", "enter_weight", "exit_weight",
+                  "conclusive"}
+    assert all(set(r) == report_keys for r in report["anticrossings"])
+    assert all(set(t) == trace_keys for t in report["transfer_traces"])
+
+
+def test_csv_cells_are_python_scalars(tmp_path, monkeypatch):
+    # the csv module formats the cells, so every cell must be a Python scalar
+    # that it writes as repr (float), str (int, str) or "" (None)
+    seen = {}
+    write_csv = cli._write_csv
+
+    def capture(path, header, rows):
+        seen[os.path.basename(path)] = rows
+        write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "_write_csv", capture)
+    payload = json.loads(json.dumps(STRIP_CONFIG))
+    payload["voltage"] = {"values": ["0 V", "0.6 V"]}  # V = 0 gives a None cell
+    strip = write_config(tmp_path, payload)
+    spin = write_config(tmp_path, {"spin": {"beta": {"start": 0.2, "stop": 3.0, "points": 57}}}, "spin.json")
+    for argv in (["hic", "--config", strip], ["error-budget", "--config", strip],
+                 ["spectrum", "--config", spin]):
+        assert main([*argv, "--out-dir", str(tmp_path / "out"), "--format", "csv"]) == 0
+    assert set(seen) == {"hic.csv", "error_budget.csv", "nulling.csv", "spectrum.csv"}
+    assert any(x is None for row in seen["error_budget.csv"] for x in row)
+    for name, rows in seen.items():
+        assert {type(x) for row in rows for x in row} <= {int, float, str, type(None)}, name
+
+
+def test_config_grid_and_nulling_axis_are_the_same_floats():
+    lo, hi, n = 3e-9, 8e-9, 11
+    cfg = load_config(None, [f'spin.beta={{"start": {lo}, "stop": {hi}, "points": {n}}}'])
+    ranges = {"a": (lo, hi), "c": (10e-9, 10e-9), "V": (0.0, math.inf)}
+    found = find_nulling_parameters(math.inf, ranges, grid_points=n)
+    assert [r.a for r in found] == cfg.beta_grid
 
 
 def test_spectrum_single_point(tmp_path):
@@ -237,19 +279,31 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, override, field",
+    "base, command, override, field",
     [
-        ("anticross", "spin.alpha_a=NaN", "spin.alpha_a"),
-        ("hic", 'gate.a="nan nm"', "gate.a"),
-        ("anticross", "spin.beta.values=[1.0,0.5]", "spin.beta"),
-        ("anticross", "spin.mu=Infinity", "spin.mu"),
+        (DISC_CONFIG, "anticross", "spin.alpha_a=NaN", "spin.alpha_a"),
+        (DISC_CONFIG, "hic", 'gate.a="nan nm"', "gate.a"),
+        (DISC_CONFIG, "anticross", "spin.beta.values=[1.0,0.5]", "spin.beta"),
+        (DISC_CONFIG, "anticross", "spin.mu=Infinity", "spin.mu"),
+        (STRIP_CONFIG, "error-budget", 'gate.kind="disc"', "gate.kind"),
+        (STRIP_CONFIG, "error-budget", 'voltage.values=["-0.5 V"]', "voltage"),
+        (STRIP_CONFIG, "error-budget", "placement=3", "placement"),
+        (STRIP_CONFIG, "error-budget", "error_budget.ranges=3", "error_budget.ranges"),
+        (STRIP_CONFIG, "error-budget", 'error_budget.ranges.a=["8 nm","3 nm"]',
+         "error_budget.ranges.a"),
+        (STRIP_CONFIG, "error-budget", 'error_budget.line_width="-1 kHz"',
+         "error_budget.line_width"),
+        (DISC_CONFIG, "hic", 'material.Delta_E="0 eV"', "material.Delta_E"),
+        (DISC_CONFIG, "hic", 'gate={"kind":"disc","a":"1e308 m","c":"1e308 nm"}', "gate"),
     ],
-    ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu"],
+    ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
+         "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
+         "negative-line-width", "zero-Delta_E", "overflowing-gate"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
-    tmp_path, capsys, command, override, field
+    tmp_path, capsys, base, command, override, field
 ):
-    cfg = write_config(tmp_path, DISC_CONFIG)
+    cfg = write_config(tmp_path, base)
     out = tmp_path / "out"
     argv = [command, "--config", cfg, "--out-dir", str(out), "--set", override]
     assert main(argv) == 2

@@ -9,6 +9,8 @@ from oracles import per_point_tracks
 from sidonor import spectrum
 from sidonor.constants import DEFAULT_CONSTANTS
 from sidonor.spectrum import (
+    SpectrumSweep,
+    Track,
     adiabatic_transfer_trace,
     eigensolve_block,
     eq19_gap,
@@ -228,6 +230,26 @@ def test_gap_grows_with_coupling_scale():
         transfers = {r.pair: r for r in spin_transfer_reports(find_anticrossings(sweep))}
         gaps.append(transfers[(15, 12)].min_gap)
     assert gaps[0] < gaps[1] < gaps[2]
+
+
+@pytest.mark.parametrize(
+    "gaps",
+    [[1.0, 1e-200, -1e-200, -1.0], [1e300, 1e300, -1e300, -1e300]],
+    ids=["product-underflows", "product-overflows"],
+)
+def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
+    # the product of the middle gaps is -0.0 (no sign change) or overflows
+    basis = BLOCKS[1]
+    unit = np.eye(len(basis))
+    tracks = [
+        Track(block=1, basis=basis, energies=np.array(e), vectors=np.tile(unit[k], (4, 1)))
+        for k, e in enumerate((gaps, [0.0] * 4))
+    ]
+    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, REFERENCE, "slaved")
+    with np.errstate(over="raise"):
+        reports = find_anticrossings(sweep)
+    assert [(r.kind, r.pair) for r in reports] == [("crossing", (basis[0], basis[1]))]
+    assert reports[0].beta_star == pytest.approx(1.15)
 
 
 def test_reports_sorted_deterministically(reference_sweep):
