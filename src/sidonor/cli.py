@@ -22,8 +22,6 @@ import os
 import sys
 from dataclasses import asdict
 
-import numpy as np
-
 from . import __version__
 from .acceptance import run_all
 from .config import ConfigError, RunConfig, load_config
@@ -32,6 +30,7 @@ from .error_budget import (
     dz_for_target,
     find_nulling_parameters,
     relative_hic_error,
+    strip_gate_terms,
 )
 from .hyperfine import hic_shift
 from .spectrum import (
@@ -96,6 +95,10 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
         raise ConfigError("gate.kind", "the error budget needs a strip gate")
     if not all(v >= 0 for v in cfg.voltages):
         raise ConfigError("voltage", "the error budget needs non-negative voltages")
+    try:
+        strip_gate_terms(gate)
+    except ValueError as exc:
+        raise ConfigError("gate", str(exc)) from None
     rows = []
     for mode in ("published", "recomputed"):
         for v in cfg.voltages:
@@ -130,7 +133,7 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
     )
 
     if cfg.nulling_ranges is not None:
-        found = find_nulling_parameters(cfg.target, cfg.nulling_ranges, mat=cfg.material)
+        found = find_nulling_parameters(cfg.target, cfg.nulling_ranges)
         nrows = [[r.a, r.c, r.V, r.bracket, r.admissible_dz] for r in found]
         _emit(args, "nulling", ["a", "c", "V", "bracket", "admissible_dz"], nrows)
         if not found:
@@ -149,24 +152,12 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if centers:
         refined = refine_beta_grid(sweep.beta_grid, centers)
         sweep = sweep_spectrum(_spin_template(cfg), refined, mu_mode=cfg.mu_mode)
-    # per track: energies, dominant labels and weights at every beta, as the
-    # Python scalars Track.dominant would give
-    columns = []
-    for track in sweep.tracks:
-        weights = track.vectors**2
-        columns.append(
-            (
-                track.energies.tolist(),
-                [track.basis[j] for j in np.argmax(weights, axis=1).tolist()],
-                weights.max(axis=1).tolist(),
-            )
-        )
-    rows = []
-    for i, beta in enumerate(sweep.beta_grid.tolist()):
-        for level, (track, (energy, label, weight)) in enumerate(
-            zip(sweep.tracks, columns), start=1
-        ):
-            rows.append([beta, level, track.block, energy[i], label[i], weight[i]])
+    columns = [(t.block, t.energies.tolist(), *t.dominants) for t in sweep.tracks]
+    rows = [
+        [beta, level, block, energy[i], label[i], weight[i]]
+        for i, beta in enumerate(sweep.beta_grid.tolist())
+        for level, (block, energy, label, weight) in enumerate(columns, start=1)
+    ]
     _emit(
         args,
         "spectrum",

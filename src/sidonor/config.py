@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .constants import DEFAULT_CONSTANTS, MaterialParams
 from .electrostatics import GateGeometry, field_coeffs
 from .error_budget import DEFAULT_LINE_WIDTH, PlacementError, linear_grid
+from .hyperfine import hic_shift
 from .spectrum import DEFAULT_BETA_GRID
 
 
@@ -178,6 +179,9 @@ def build_run_config(data: dict) -> RunConfig:
             raise ConfigError(f"material.{key}", "must be positive")
     cfg.material = MaterialParams(**mat_kwargs)
 
+    if "voltage" in data:
+        cfg.voltages = _grid(data["voltage"], "voltage", "voltage")
+
     if "gate" in data:
         g = _object(data["gate"], "gate")
         if "kind" not in g:
@@ -188,14 +192,17 @@ def build_run_config(data: dict) -> RunConfig:
                 kwargs[key] = parse_quantity(g[key], "length", f"gate.{key}")
         try:
             cfg.gate = GateGeometry(**kwargs)
-            field_coeffs(cfg.gate, 1.0)  # finite lengths can still overflow here
+            field_coeffs(cfg.gate, 1.0)  # finite lengths can still overflow or underflow here
         except (TypeError, ValueError) as exc:
             raise ConfigError("gate", str(exc)) from None
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigError("gate", "lengths overflow or underflow the field model") from None
+        try:  # the shift is quadratic in the field, so a huge voltage overflows it
+            shifts = [hic_shift(field_coeffs(cfg.gate, v), cfg.material) for v in cfg.voltages]
         except OverflowError:
-            raise ConfigError("gate", "lengths overflow the field model") from None
-
-    if "voltage" in data:
-        cfg.voltages = _grid(data["voltage"], "voltage", "voltage")
+            shifts = None
+        if shifts is None or not all(abs(b.total) < math.inf for b in shifts):
+            raise ConfigError("voltage", "the hyperfine shift overflows at these gate voltages")
 
     if "placement" in data:
         p = _object(data["placement"], "placement")
@@ -207,6 +214,8 @@ def build_run_config(data: dict) -> RunConfig:
     eb = _object(data.get("error_budget", {}), "error_budget")
     if "target" in eb:
         cfg.target = parse_number(eb["target"], "error_budget.target")
+        if not (cfg.target > 0):
+            raise ConfigError("error_budget.target", "must be positive")
     if "line_width" in eb:
         cfg.line_width = parse_quantity(eb["line_width"], "frequency", "error_budget.line_width")
         if not (cfg.line_width >= 0):

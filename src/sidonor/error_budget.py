@@ -10,15 +10,18 @@ geometry so the two can be compared.
 
 The dx^2 bracket is q V^2 (2c^2 - a^2)/s^2 - l V (2c^4 - a^4)/(2 c^2 s^2)
 with s = a^2 + c^2, so its only nonzero root in V has the closed form
-:func:`nulling_voltage`; :func:`find_nulling_parameters` evaluates it on an
-(a, c) mesh instead of searching V numerically.
+:func:`nulling_voltage`; :func:`find_nulling_parameters` evaluates it over the
+whole (a, c) mesh at once, in pow-free terms that floats and arrays round alike.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .constants import (
     DEFAULT_CONSTANTS,
@@ -73,9 +76,36 @@ class NullingResult:
     admissible_dz: float    # dz allowed by the target at this configuration
 
 
-def _require_strip(gate: GateGeometry):
+_StripTerms = namedtuple("_StripTerms", "a2 c2 a4 c4 s p2 p4")
+
+
+def _strip_terms(a, c) -> _StripTerms:
+    """a^2, c^2, a^4, c^4, s = a^2 + c^2, p2 = 2c^2 - a^2, p4 = 2c^4 - a^4 without pow."""
+    a2, c2 = a * a, c * c
+    a4, c4 = a2 * a2, c2 * c2
+    return _StripTerms(a2, c2, a4, c4, a2 + c2, 2.0 * c2 - a2, 2.0 * c4 - a4)
+
+
+def strip_gate_terms(gate: GateGeometry) -> _StripTerms:
+    """:func:`_strip_terms` of a strip gate; ValueError for another kind or out-of-range lengths."""
     if gate.kind != "strip":
         raise ValueError("placement-error analysis applies to the strip gate")
+    t = _strip_terms(gate.a, gate.c)
+    if not (0.0 < 2.0 * t.c2 * t.s * t.s < math.inf):  # the formulas' common denominator
+        raise ValueError("gate lengths overflow or underflow the strip placement formulas")
+    return t
+
+
+def _dz_coeff(q, c, t: _StripTerms, V):
+    return q * V * V * 2.0 * c / t.s
+
+
+def _bracket(q, l, t: _StripTerms, V):
+    return q * V * V * t.p2 / (t.s * t.s) - l * V * t.p4 / (2.0 * t.c2 * t.s * t.s)
+
+
+def _root(q, l, t: _StripTerms):
+    return (l / q) * t.p4 / (2.0 * t.c2 * t.p2)
 
 
 def strip_sensitivity_derivatives(
@@ -87,21 +117,15 @@ def strip_sensitivity_derivatives(
     dx = dz = 0.  Expansion keeps terms linear in dz and quadratic in dx
     (dz ~ dx^2 ordering; dz^2 terms dropped).
     """
-    _require_strip(gate)
-    a, c = gate.a, gate.c
-    dx, dz = err.dx, err.dz
-    s = a * a + c * c
-    b1 = 1.0 - dz / (c * (1.0 + a * a / (c * c))) - dx * dx * (2 * c * c - a * a) / (2.0 * s * s)
+    t = strip_gate_terms(gate)
+    c, dx, dz = gate.c, err.dx, err.dz
+    b1 = 1.0 - dz / (c * (1.0 + t.a2 / t.c2)) - dx * dx * t.p2 / (2.0 * t.s * t.s)
     b2 = (
         1.0
-        - dz * (2 * c * c - a * a) / (c * s)
-        - dx * dx * (4 * c**4 + a * a * c * c - a**4) / (2.0 * c * c * s * s)
+        - dz * t.p2 / (c * t.s)
+        - dx * dx * (4 * t.c4 + t.a2 * t.c2 - t.a4) / (2.0 * t.c2 * t.s * t.s)
     )
-    b3 = (
-        1.0
-        - dz * (2 * c * c - a * a) / (c * s)
-        - dx * dx * (2 * c * c + a * a) / (2.0 * s * s)
-    )
+    b3 = 1.0 - dz * t.p2 / (c * t.s) - dx * dx * (2 * t.c2 + t.a2) / (2.0 * t.s * t.s)
     return b1, b2, b3
 
 
@@ -130,13 +154,9 @@ def dx2_bracket(
     pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """The curly bracket multiplying (dx)^2 in the relative-error expression."""
-    _require_strip(gate)
+    t = strip_gate_terms(gate)
     q, l = _strip_coefficients(gate, coefficients, mat, pc)
-    a, c = gate.a, gate.c
-    s = a * a + c * c
-    return q * V * V * (2 * c * c - a * a) / (s * s) - l * V * (2 * c**4 - a**4) / (
-        2.0 * c * c * s * s
-    )
+    return _bracket(q, l, t, V)
 
 
 def dz_coefficient(
@@ -147,9 +167,9 @@ def dz_coefficient(
     pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """The factor multiplying dz: q V^2 * 2c/(a^2+c^2)."""
-    _require_strip(gate)
+    t = strip_gate_terms(gate)
     q, _ = _strip_coefficients(gate, coefficients, mat, pc)
-    return q * V * V * 2.0 * gate.c / (gate.a**2 + gate.c**2)
+    return _dz_coeff(q, gate.c, t, V)
 
 
 def nulling_voltage(
@@ -158,15 +178,14 @@ def nulling_voltage(
     mat: MaterialParams = DEFAULT_MATERIAL,
     pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float | None:
-    """Closed-form root of the dx^2 bracket, or None when no positive root exists."""
-    _require_strip(gate)
+    """Closed-form root of the dx^2 bracket, or None when no finite positive root exists."""
+    t = strip_gate_terms(gate)
     q, l = _strip_coefficients(gate, coefficients, mat, pc)
-    a, c = gate.a, gate.c
-    denom = 2.0 * c * c * (2.0 * c * c - a * a)
-    if denom == 0.0:
+    try:
+        v = _root(q, l, t)
+    except ZeroDivisionError:  # 2c^2 (2c^2 - a^2) = 0, or q = 0: no nonzero root
         return None
-    v = (l / q) * (2.0 * c**4 - a**4) / denom
-    return v if v > 0 else None
+    return v if 0.0 < v < math.inf else None
 
 
 def relative_hic_error(
@@ -187,7 +206,7 @@ def relative_hic_error(
     Exactly linear in dz and quadratic in dx.  Warns when |dz| > 0.2 c (the
     truncation drops dz^2 terms, which stop being negligible there).
     """
-    _require_strip(gate)
+    strip_gate_terms(gate)
     if V < 0:
         raise ValueError("V must be non-negative")
     if abs(err.dz) > 0.2 * gate.c:
@@ -237,45 +256,47 @@ def linear_grid(lo: float, hi: float, points: int) -> list[float]:
 def find_nulling_parameters(
     target: float,
     ranges: dict,
-    coefficients: str = "published",
     grid_points: int = 101,
     min_dz: float = 1e-9,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> list[NullingResult]:
     """Configurations on an (a, c) mesh whose nulling voltage lies in the V range.
 
     ``ranges`` maps "a", "c", "V" to (lo, hi) intervals (meters / volts);
     zero-width intervals pin the value.  At each of the ``grid_points`` x
     ``grid_points`` (a, c) mesh points the only nonzero root of the dx^2
-    bracket is the closed form :func:`nulling_voltage`; the trivial root
-    V = 0 is never reported.  A configuration qualifies when that root lies
+    bracket is the closed form :func:`nulling_voltage` (published
+    coefficients); the trivial root V = 0 and a root that is not finite are
+    never reported.  A configuration qualifies when that root lies
     in the closed V interval and the dz admitted by ``target`` there is at
     least ``min_dz`` (with target = inf every root in range qualifies).
     Results are ordered by (a, c); no root in range gives an empty list, not
-    an error.  Each mesh point is a strip gate with D = 100 a.
+    an error.  One pass over the mesh gives the scalar functions' bits; the
+    published coefficients need no coefficient mode, material, constants or D.
     """
     for key in ("a", "c", "V"):
         if key not in ranges:
             raise ValueError(f"ranges must contain {key!r}")
         if not ranges[key][0] <= ranges[key][1]:
             raise ValueError(f"empty interval for {key!r}")
+        if key != "V" and not ranges[key][0] > 0:
+            raise ValueError(f"lengths in {key!r} must be positive")
     (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
     a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)
     c_axis = linear_grid(c_lo, c_hi, 1 if c_hi == c_lo else grid_points)
-    results: list[NullingResult] = []
-    for a in a_axis:  # ascending axes: rows come out ordered by (a, c)
-        for c in c_axis:
-            gate = GateGeometry(kind="strip", a=a, c=c, D=100.0 * a)
-            root = nulling_voltage(gate, coefficients, mat, pc)
-            if root is None or not v_lo <= root <= v_hi:
-                continue
-            adm = dz_for_target(gate, root, target, coefficients, mat, pc)
-            if adm >= min_dz:
-                bracket = dx2_bracket(gate, root, coefficients, mat, pc)
-                results.append(NullingResult(a=a, c=c, V=root, bracket=bracket, admissible_dz=adm))
-
-    return results
+    a, c = np.meshgrid(a_axis, c_axis, indexing="ij", sparse=True)
+    q, l = STRIP_QUAD_COEFF, STRIP_LIN_COEFF
+    with np.errstate(all="ignore"):
+        t = _strip_terms(a, c)
+        root = _root(q, l, t)
+        keep = np.isfinite(root) & (root > 0.0) & (root >= v_lo) & (root <= v_hi)
+        coeff = _dz_coeff(q, c, t, root)
+        adm = np.where(coeff == 0.0, math.inf, target / coeff)
+        keep &= adm >= min_dz
+        bracket = _bracket(q, l, t, root)
+    # row-major over the "ij" mesh is (a, c) order; the rows share the axis floats
+    i, j = (ix.tolist() for ix in np.nonzero(keep))
+    columns = (x[keep].tolist() for x in (root, bracket, adm))
+    return [NullingResult(a_axis[m], c_axis[n], *row) for m, n, *row in zip(i, j, *columns)]
 
 
 def admissible_voltage_error(

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .spin_hamiltonian import (
     BLOCKS,
     MU_OVER_BETA,
     SpinParams,
+    block_decompose,
     build_hamiltonian,
 )
 
@@ -116,11 +118,16 @@ class Track:
     energies: np.ndarray       # (n_beta,), units of J
     vectors: np.ndarray        # (n_beta, dim), eigenvector components
 
+    @cached_property
+    def dominants(self) -> tuple[list[int], list[float]]:
+        """Dominant basis labels and their weights at every grid point, as Python scalars."""
+        w = self.vectors**2
+        k = np.argmax(w, axis=1)
+        return np.asarray(self.basis)[k].tolist(), w[np.arange(k.size), k].tolist()
+
     def dominant(self, i: int) -> tuple[int, float]:
         """(basis label, weight) of the dominant component at grid point i."""
-        w = self.vectors[i] ** 2
-        k = int(np.argmax(w))
-        return self.basis[k], float(w[k])
+        return self.dominants[0][i], self.dominants[1][i]
 
 
 @dataclass(frozen=True)
@@ -167,20 +174,14 @@ class _BlockSystem:
             raise ValueError("mu_mode must be 'slaved' or 'fixed'")
         self.params = params
         self.mu_mode = mu_mode
-        base = build_hamiltonian(
-            SpinParams(params.alpha_a, params.alpha_b, beta=0.0, mu=0.0)
+        base, with_beta, with_mu = (
+            block_decompose(build_hamiltonian(SpinParams(params.alpha_a, params.alpha_b, beta, mu)))
+            for beta, mu in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         )
-        with_beta = build_hamiltonian(
-            SpinParams(params.alpha_a, params.alpha_b, beta=1.0, mu=0.0)
-        )
-        with_mu = build_hamiltonian(
-            SpinParams(params.alpha_a, params.alpha_b, beta=0.0, mu=1.0)
-        )
-        self.parts = {}
-        for key in BLOCK_ORDER:
-            sel = [i - 1 for i in BLOCKS[key]]
-            ix = np.ix_(sel, sel)
-            self.parts[key] = (base[ix], with_beta[ix] - base[ix], with_mu[ix] - base[ix])
+        self.parts = {
+            b0.m_plus_M: (b0.matrix, bb.matrix - b0.matrix, bm.matrix - b0.matrix)
+            for b0, bb, bm in zip(base, with_beta, with_mu)
+        }
 
     def stack(self, key: int, betas) -> np.ndarray:
         """(n_beta, d, d) matrices of block ``key`` at every beta.
@@ -329,9 +330,8 @@ def _exchange_report(
     system: _BlockSystem, sweep: SpectrumSweep, track: Track, crossing_tol: float
 ) -> AnticrossingReport | None:
     betas = sweep.beta_grid
-    n = betas.size
     wts = track.vectors**2
-    enter_label, enter_weight = track.dominant(n - 1)
+    enter_label, enter_weight = track.dominant(-1)
     exit_label, exit_weight = track.dominant(0)
     if enter_label == exit_label:
         return None
@@ -484,9 +484,8 @@ def adiabatic_transfer_trace(sweep: SpectrumSweep) -> list[TransferTrace]:
     are reported with their labels but flagged inconclusive.
     """
     traces = []
-    n = sweep.beta_grid.size
     for level, track in enumerate(sweep.tracks, start=1):
-        enter_label, enter_weight = track.dominant(n - 1)
+        enter_label, enter_weight = track.dominant(-1)
         exit_label, exit_weight = track.dominant(0)
         traces.append(
             TransferTrace(

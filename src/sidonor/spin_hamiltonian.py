@@ -157,16 +157,10 @@ def block_decompose(H: np.ndarray) -> list[Block]:
     H = np.asarray(H)
     if H.shape != (16, 16):
         raise ValueError("expected a 16x16 matrix")
-    key_of = {s.index: s.m_plus_M for s in BASIS}
-    for i in range(16):
-        for j in range(16):
-            if key_of[i + 1] != key_of[j + 1] and H[i, j] != 0.0:
-                raise BlockStructureError(
-                    f"nonzero cross-block entry H[{i + 1},{j + 1}] = {H[i, j]}"
-                )
-    blocks = []
-    for key in BLOCK_ORDER:
-        idx = BLOCKS[key]
-        sel = [i - 1 for i in idx]
-        blocks.append(Block(m_plus_M=key, indices=idx, matrix=H[np.ix_(sel, sel)].copy()))
-    return blocks
+    keys = np.array([s.m_plus_M for s in BASIS])
+    cross = np.argwhere((keys[:, None] != keys[None, :]) & (H != 0.0))
+    if cross.size:  # argwhere lists entries in row-major order
+        i, j = cross[0].tolist()
+        raise BlockStructureError(f"nonzero cross-block entry H[{i + 1},{j + 1}] = {H[i, j]}")
+    sel = {key: [i - 1 for i in BLOCKS[key]] for key in BLOCK_ORDER}
+    return [Block(key, BLOCKS[key], H[np.ix_(sel[key], sel[key])].copy()) for key in BLOCK_ORDER]

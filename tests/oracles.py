@@ -3,9 +3,10 @@
 These deliberately avoid the code paths they check: derivatives come from
 Richardson-extrapolated central differences, eigenvalues from inertia
 counting (LDL^T pivots of A - x I) plus bisection on the characteristic
-polynomial's sign structure.  The one exception is
-:func:`per_point_tracks`, the per-grid-point matching loop that the whole-grid
-tracking in ``sweep_spectrum`` must reproduce bit for bit.
+polynomial's sign structure.  The exceptions are the per-point loops that
+whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
+tracking in ``sweep_spectrum`` and :func:`per_point_nulling` for the mesh
+search in ``find_nulling_parameters``.
 """
 
 import numpy as np
@@ -83,3 +84,31 @@ def per_point_tracks(template, beta_grid, mu_mode):
         for t in range(len(BLOCKS[key])):
             out.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
     return out
+
+
+def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
+    """Reference nulling search: one strip gate and three scalar calls per mesh point."""
+    from sidonor.electrostatics import GateGeometry
+    from sidonor.error_budget import (
+        NullingResult,
+        dx2_bracket,
+        dz_for_target,
+        linear_grid,
+        nulling_voltage,
+    )
+
+    (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
+    a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)
+    c_axis = linear_grid(c_lo, c_hi, 1 if c_hi == c_lo else grid_points)
+    results = []
+    for a in a_axis:  # ascending axes: rows come out ordered by (a, c)
+        for c in c_axis:
+            gate = GateGeometry(kind="strip", a=a, c=c, D=100.0 * a)
+            root = nulling_voltage(gate)
+            if root is None or not v_lo <= root <= v_hi:
+                continue
+            adm = dz_for_target(gate, root, target)
+            if adm >= min_dz:
+                bracket = dx2_bracket(gate, root)
+                results.append(NullingResult(a=a, c=c, V=root, bracket=bracket, admissible_dz=adm))
+    return results

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -295,20 +296,53 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "error_budget.line_width"),
         (DISC_CONFIG, "hic", 'material.Delta_E="0 eV"', "material.Delta_E"),
         (DISC_CONFIG, "hic", 'gate={"kind":"disc","a":"1e308 m","c":"1e308 nm"}', "gate"),
+        (STRIP_CONFIG, "error-budget",
+         ['gate.a="1e300 m"', 'gate.c="1e300 nm"', 'gate.D="1.7e308 m"'], "gate"),
+        (STRIP_CONFIG, "hic", 'voltage.values=["1e300 V"]', "voltage"),
+        (DISC_CONFIG, "hic", 'voltage.values=["1e300 V"]', "voltage"),
+        (STRIP_CONFIG, "error-budget", 'voltage.values=["1e300 V"]', "voltage"),
+        (STRIP_CONFIG, "error-budget", "error_budget.target=-0.01", "error_budget.target"),
+        (STRIP_CONFIG, "hic", 'gate={"kind":"strip","a":"1e-170 m","c":"1e-170 m","D":"1e-100 m"}',
+         "gate"),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
-         "negative-line-width", "zero-Delta_E", "overflowing-gate"],
+         "negative-line-width", "zero-Delta_E", "overflowing-gate", "overflowing-strip-placement",
+         "overflowing-strip-hic-voltage", "overflowing-disc-hic-voltage",
+         "overflowing-error-budget-voltage", "negative-target", "underflowing-gate"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field
 ):
     cfg = write_config(tmp_path, base)
     out = tmp_path / "out"
-    argv = [command, "--config", cfg, "--out-dir", str(out), "--set", override]
+    overrides = [override] if isinstance(override, str) else override
+    argv = [command, "--config", cfg, "--out-dir", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
     assert main(argv) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+TEXT_CELLS = ("", "published", "recomputed")  # error-budget cells that are no numbers
+
+
+def test_error_budget_huge_length_range_writes_only_finite_cells(tmp_path, capsys):
+    # mesh points whose lengths overflow the strip formulas have no root
+    cfg = write_config(tmp_path, STRIP_CONFIG)
+    out = tmp_path / "out"
+    argv = ["error-budget", "--config", cfg, "--out-dir", str(out),
+            "--set", 'error_budget.ranges.a=["1e-300 m","1e300 m"]']
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning would reach stderr
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out / "nulling.csv")[1:]
+    assert rows and {r[0] for r in rows} == {"1e-300"}
+    for name in ("error_budget.csv", "nulling.csv"):
+        cells = [x for row in read_csv(out / name)[1:] for x in row if x not in TEXT_CELLS]
+        assert all(math.isfinite(float(x)) for x in cells)
 
 
 def test_parsers_reject_non_finite_numbers():

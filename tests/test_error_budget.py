@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import per_point_nulling
 
 from sidonor.constants import MaterialParams
 from sidonor.electrostatics import GateGeometry
@@ -190,6 +193,25 @@ def test_find_nulling_omits_roots_outside_the_voltage_range():
             assert ((a, c) in kept) == inside
             outside += not inside
     assert outside and kept  # the range splits the mesh
+
+
+@given(
+    a_lo=st.floats(2e-9, 12e-9),
+    a_width=st.one_of(st.just(0.0), st.floats(0.0, 8e-9)),
+    c_lo=st.floats(2e-9, 12e-9),
+    c_width=st.one_of(st.just(0.0), st.floats(0.0, 8e-9)),
+    v_lo=st.floats(0.0, 2.0),
+    v_width=st.floats(0.0, 2.0),
+    points=st.integers(1, 15),
+    target=st.one_of(st.just(math.inf), st.floats(1e-6, 1.0)),
+    min_dz=st.floats(0.0, 1e-8),
+)
+def test_mesh_search_equals_per_point_loop(
+    a_lo, a_width, c_lo, c_width, v_lo, v_width, points, target, min_dz
+):
+    ranges = {"a": (a_lo, a_lo + a_width), "c": (c_lo, c_lo + c_width), "V": (v_lo, v_lo + v_width)}
+    found = find_nulling_parameters(target, ranges, grid_points=points, min_dz=min_dz)
+    assert found == per_point_nulling(target, ranges, grid_points=points, min_dz=min_dz)
 
 
 def test_find_nulling_requires_ranges():

@@ -132,7 +132,7 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
     assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), "slaved")
 
 
-@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@settings(max_examples=30)
 @given(
     alpha_a=st.floats(0.0, 1.0),
     alpha_b=st.floats(0.0, 1.0),
@@ -145,6 +145,16 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
 def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu_mode, mu):
     grid = np.linspace(start, start + width, points)
     assert_same_tracks(SpinParams(alpha_a, alpha_b, 0.0, mu), grid, mu_mode)
+
+
+def test_dominant_labels_are_the_per_point_argmax():
+    sweep = sweep_spectrum(REFERENCE, beta_grid=np.linspace(0.2, 3.0, 29), mu_mode="slaved")
+    for track in sweep.tracks:
+        labels, weights = track.dominants
+        for i, v in enumerate(track.vectors):
+            k = int(np.argmax(v**2))
+            assert (labels[i], weights[i]) == track.dominant(i) == (track.basis[k], float(v[k] ** 2))
+            assert type(labels[i]) is int and type(weights[i]) is float
 
 
 def test_refinement_give_up_is_logged(monkeypatch, caplog):

@@ -136,7 +136,10 @@ def test_block_decompose_sizes_and_zero_couplings():
 def test_block_decompose_detects_corruption():
     h = build_hamiltonian(SpinParams(0.3, 0.4, beta=1.1, mu=1e-3))
     h[0, 15] = 1e-12  # |1> and |16> live in different blocks
-    with pytest.raises(BlockStructureError):
+    h[15, 0] = 2e-12
+    h[1, 15] = 3e-12
+    # the first offending entry in row-major order is named
+    with pytest.raises(BlockStructureError, match=r"H\[1,16\] = 1e-12$"):
         block_decompose(h)
 
 
