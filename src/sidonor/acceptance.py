@@ -19,13 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_CONSTANTS,
-    MaterialParams,
-    hyperfine_constant_A0,
-    joule_to_ev,
-    residual_delta_E,
-)
+from .constants import DEFAULT_CONSTANTS, MaterialParams, hyperfine_constant_A0, residual_delta_E
 from .electrostatics import FieldCoefficients, GateGeometry, disc_field_coeffs
 from .error_budget import admissible_voltage_error, dz_for_target
 from .hyperfine import HydrogenicState, hic_shift, matrix_element_2s1s, voltage_polynomial
@@ -37,13 +31,7 @@ from .spectrum import (
     spin_transfer_reports,
     sweep_spectrum,
 )
-from .spin_hamiltonian import (
-    BLOCKS,
-    MU_OVER_BETA,
-    SpinParams,
-    build_hamiltonian,
-    block_decompose,
-)
+from .spin_hamiltonian import MU_OVER_BETA, SpinParams, block_decompose, build_hamiltonian
 
 DISC_GATE = GateGeometry(kind="disc", a=5e-9, c=10e-9)
 STRIP_GATE = GateGeometry(kind="strip", a=5e-9, c=10e-9, D=500e-9)
@@ -71,7 +59,6 @@ def matrix_element_quadrature(
     phi0: float = 0.0,
     Ec: float = 0.0,
     rel: float = 1e-9,
-    pc=DEFAULT_CONSTANTS,
 ) -> float:
     """<2s| e(phi0 + Ec z - E1/2 z^2 + E2/2 q^2) |1s> by direct quadrature.
 
@@ -86,6 +73,7 @@ def matrix_element_quadrature(
     un, uw = np.polynomial.legendre.leggauss(8)
     rn, rw = np.polynomial.legendre.leggauss(24)
     trans_azimuth = 2.0 * math.pi if geometry == "disc" else math.pi
+    e = DEFAULT_CONSTANTS.e
 
     def evaluate(panels: int) -> float:
         edges = np.linspace(0.0, rmax, panels + 1)
@@ -98,10 +86,10 @@ def matrix_element_quadrature(
             U = un[None, :]
             angular = 2.0 * math.pi * (phi0 + Ec * R * U - 0.5 * E1 * R**2 * U**2)
             angular = angular + trans_azimuth * 0.5 * E2 * R**2 * (1.0 - U**2)
-            total += pc.e * float(np.sum(radial[:, None] * angular * uw[None, :]))
+            total += e * float(np.sum(radial[:, None] * angular * uw[None, :]))
         return total
 
-    scale_floor = pc.e * a_star**2 * (abs(E1) + abs(E2) + abs(Ec) / a_star + abs(phi0) / a_star**2)
+    scale_floor = e * a_star**2 * (abs(E1) + abs(E2) + abs(Ec) / a_star + abs(phi0) / a_star**2)
     prev = evaluate(8)
     for panels in (16, 32, 64, 128):
         cur = evaluate(panels)
@@ -121,7 +109,7 @@ def criterion_1() -> CriterionResult:
 
 
 def criterion_2() -> CriterionResult:
-    val = joule_to_ev(residual_delta_E())
+    val = residual_delta_E() / DEFAULT_CONSTANTS.e
     ref = -0.023
     ok = abs(val - ref) <= 0.05 * abs(ref)
     return _result(2, "1s-2s residual delta_E = -0.023 eV (5%)", ok, f"delta_E = {val:.6g} eV")
@@ -272,16 +260,11 @@ def criterion_10() -> CriterionResult:
 def criterion_11() -> CriterionResult:
     betas = np.linspace(0.2, 3.0, 401)
     step = betas[1] - betas[0]
-    gaps = np.empty(betas.size)
-    for i, b in enumerate(betas):
-        h = build_hamiltonian(SpinParams(0.0, 0.0, beta=b, mu=0.0))
-        w = np.sort(np.concatenate([eigensolve_block(blk.matrix)[0] for blk in block_decompose(h)]))
-        gaps[i] = w[4] - w[3]
-    bstar = betas[int(np.argmin(gaps))]
+    levels = np.sort(sweep_spectrum(0.0, 0.0, betas, mu=0.0).energy_matrix(), axis=1)
+    bstar = betas[int(np.argmin(levels[:, 4] - levels[:, 3]))]
     crossing_ok = abs(bstar - 1.0) <= step
 
-    h = build_hamiltonian(SpinParams(0.0, 0.0, beta=2.0, mu=0.0))
-    w = np.sort(np.concatenate([eigensolve_block(blk.matrix)[0] for blk in block_decompose(h)]))
+    w = np.sort(sweep_spectrum(0.0, 0.0, [2.0], mu=0.0).energy_matrix()[0])
     distinct = []
     for x in w:
         if not distinct or abs(x - distinct[-1][0]) > 1e-9:
@@ -299,7 +282,7 @@ def criterion_11() -> CriterionResult:
 
 
 def criterion_12() -> CriterionResult:
-    sweep = sweep_spectrum(SpinParams(0.3, 0.4, beta=0.0, mu=0.0), mu_mode="slaved")
+    sweep = sweep_spectrum(0.3, 0.4)
     transfers = spin_transfer_reports(find_anticrossings(sweep))
     pairs = {r.pair: r for r in transfers}
     ok = set(pairs) == {(15, 12), (13, 10)}

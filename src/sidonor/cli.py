@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,6 +31,7 @@ from .error_budget import (
     dz_for_target,
     find_nulling_parameters,
     relative_hic_error,
+    strip_coefficients,
     strip_gate_terms,
 )
 from .hyperfine import hic_shift
@@ -40,7 +42,6 @@ from .spectrum import (
     refine_beta_grid,
     sweep_spectrum,
 )
-from .spin_hamiltonian import SpinParams
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]):
@@ -99,6 +100,9 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
         strip_gate_terms(gate)
     except ValueError as exc:
         raise ConfigError("gate", str(exc)) from None
+    q, l = strip_coefficients(gate, "recomputed", cfg.material)
+    if not (0.0 < q < math.inf and 0.0 < l < math.inf):
+        raise ConfigError("material", "recomputed strip coefficients not finite and positive")
     rows = []
     for mode in ("published", "recomputed"):
         for v in cfg.voltages:
@@ -141,17 +145,13 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _spin_template(cfg: RunConfig) -> SpinParams:
-    return SpinParams(cfg.alpha_a, cfg.alpha_b, beta=0.0, mu=cfg.mu_fixed)
-
-
 def cmd_spectrum(cfg: RunConfig, args) -> int:
-    sweep = sweep_spectrum(_spin_template(cfg), cfg.beta_grid, mu_mode=cfg.mu_mode)
+    sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
     # second pass: resolve the vicinity of detected (anti)crossings 10x finer
     centers = [r.beta_star for r in find_anticrossings(sweep)]
     if centers:
         refined = refine_beta_grid(sweep.beta_grid, centers)
-        sweep = sweep_spectrum(_spin_template(cfg), refined, mu_mode=cfg.mu_mode)
+        sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refined, cfg.mu)
     columns = [(t.block, t.energies.tolist(), *t.dominants) for t in sweep.tracks]
     rows = [
         [beta, level, block, energy[i], label[i], weight[i]]
@@ -169,7 +169,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_anticross(cfg: RunConfig, args) -> int:
-    sweep = sweep_spectrum(_spin_template(cfg), cfg.beta_grid, mu_mode=cfg.mu_mode)
+    sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
     _write_anticross(args, sweep)
     return 0
 

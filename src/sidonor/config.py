@@ -3,7 +3,8 @@
 Every physical quantity in the config is a string with an explicit unit
 ("10 nm", "0.5 V", "0.04 eV", "1e4 Hz"); bare numbers are rejected for
 dimensioned fields so CGS/SI mixups cannot slip in.  Dimensionless entries
-(alpha_a, beta grid, target) are plain numbers.
+(alpha_a, beta grid, target) are plain numbers.  A key that no section
+defines is rejected, so a misspelt override cannot be silently ignored.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .constants import DEFAULT_CONSTANTS, MaterialParams
+from .constants import DEFAULT_CONSTANTS, MaterialParams, hyperfine_constant_A0
 from .electrostatics import GateGeometry, field_coeffs
 from .error_budget import DEFAULT_LINE_WIDTH, PlacementError, linear_grid
 from .hyperfine import hic_shift
@@ -34,8 +35,17 @@ _UNITS = {
     "frequency": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
     "field": {"T": 1.0, "mT": 1e-3},
     "density": {"m^-3": 1.0, "cm^-3": 1e6},
-    "mass": {"kg": 1.0},
 }
+
+# quantity kind of each material key; None for a plain number
+_MATERIAL_KINDS = {
+    "a_star": "length",
+    "eps_r": None,
+    "psi0_sq": "density",
+    "Delta_E": "energy",
+    "delta_E": "energy",
+}
+_GRID_KEYS = ("values", "start", "stop", "points")
 
 
 def parse_quantity(value, kind: str, field_name: str) -> float:
@@ -77,31 +87,38 @@ def parse_number(value, field_name: str) -> float:
     return x
 
 
-def _object(value, field_name: str) -> dict:
+def _value(value, kind: str | None, field_name: str) -> float:
+    """A quantity of ``kind``, or a plain number when ``kind`` is None."""
+    return parse_quantity(value, kind, field_name) if kind else parse_number(value, field_name)
+
+
+def _object(value, field_name: str, keys) -> dict:
+    """A config section: a JSON object whose keys all lie in ``keys``."""
     if not isinstance(value, dict):
         raise ConfigError(field_name, "must be an object")
+    for key in value:
+        if key not in keys:
+            name = f"{field_name}.{key}" if field_name else key
+            raise ConfigError(name, f"unknown key; expected one of {', '.join(keys)}")
     return value
 
 
 def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
     """Grid entry: {"values": [...]} or {"start": ..., "stop": ..., "points": n}."""
-    def one(v, name):
-        return parse_quantity(v, kind, name) if kind else parse_number(v, name)
-
-    _object(section, field_name)
+    _object(section, field_name, _GRID_KEYS)
     if "values" in section:
         vals = section["values"]
         if not isinstance(vals, list) or not vals:
             raise ConfigError(f"{field_name}.values", "expected a non-empty list")
-        return [one(v, f"{field_name}.values[{i}]") for i, v in enumerate(vals)]
+        return [_value(v, kind, f"{field_name}.values[{i}]") for i, v in enumerate(vals)]
     for key in ("start", "stop", "points"):
         if key not in section:
             raise ConfigError(f"{field_name}.{key}", "required for a grid")
     n = section["points"]
     if not isinstance(n, int) or n < 1:
         raise ConfigError(f"{field_name}.points", "must be a positive integer")
-    lo = one(section["start"], f"{field_name}.start")
-    hi = one(section["stop"], f"{field_name}.stop")
+    lo = _value(section["start"], kind, f"{field_name}.start")
+    hi = _value(section["stop"], kind, f"{field_name}.stop")
     return linear_grid(lo, hi, n)
 
 
@@ -117,8 +134,7 @@ class RunConfig:
     alpha_a: float = 0.3
     alpha_b: float = 0.4
     beta_grid: list[float] = field(default_factory=DEFAULT_BETA_GRID.tolist)
-    mu_mode: str = "slaved"
-    mu_fixed: float = 0.0
+    mu: float | None = None  # None: slaved to beta
 
 
 def set_by_path(data: dict, assignment: str):
@@ -160,30 +176,26 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
 
 def build_run_config(data: dict) -> RunConfig:
     cfg = RunConfig()
+    _object(data, "", ("material", "gate", "voltage", "placement", "error_budget", "spin"))
 
-    mat = _object(data.get("material", {}), "material")
-    mat_kwargs = {}
-    for key, kind in (
-        ("a_star", "length"),
-        ("psi0_sq", "density"),
-        ("Delta_E", "energy"),
-        ("delta_E", "energy"),
-        ("m_star", "mass"),
-    ):
-        if key in mat:
-            mat_kwargs[key] = parse_quantity(mat[key], kind, f"material.{key}")
-    if "eps_r" in mat:
-        mat_kwargs["eps_r"] = parse_number(mat["eps_r"], "material.eps_r")
-    for key in ("a_star", "eps_r", "Delta_E"):
+    mat = _object(data.get("material", {}), "material", tuple(_MATERIAL_KINDS))
+    mat_kwargs = {
+        key: _value(mat[key], kind, f"material.{key}")
+        for key, kind in _MATERIAL_KINDS.items()
+        if key in mat
+    }
+    for key in ("a_star", "eps_r", "psi0_sq", "Delta_E"):
         if key in mat_kwargs and not (mat_kwargs[key] > 0):
             raise ConfigError(f"material.{key}", "must be positive")
     cfg.material = MaterialParams(**mat_kwargs)
+    if not (0.0 < hyperfine_constant_A0(cfg.material)[1] < math.inf):
+        raise ConfigError("material.psi0_sq", "gives no finite positive hyperfine constant")
 
     if "voltage" in data:
         cfg.voltages = _grid(data["voltage"], "voltage", "voltage")
 
     if "gate" in data:
-        g = _object(data["gate"], "gate")
+        g = _object(data["gate"], "gate", ("kind", "a", "c", "D"))
         if "kind" not in g:
             raise ConfigError("gate.kind", "required")
         kwargs = {"kind": g["kind"]}
@@ -205,13 +217,13 @@ def build_run_config(data: dict) -> RunConfig:
             raise ConfigError("voltage", "the hyperfine shift overflows at these gate voltages")
 
     if "placement" in data:
-        p = _object(data["placement"], "placement")
+        p = _object(data["placement"], "placement", ("dx", "dz"))
         cfg.placement = PlacementError(
             dx=parse_quantity(p.get("dx", "0 nm"), "length", "placement.dx"),
             dz=parse_quantity(p.get("dz", "0 nm"), "length", "placement.dz"),
         )
 
-    eb = _object(data.get("error_budget", {}), "error_budget")
+    eb = _object(data.get("error_budget", {}), "error_budget", ("target", "line_width", "ranges"))
     if "target" in eb:
         cfg.target = parse_number(eb["target"], "error_budget.target")
         if not (cfg.target > 0):
@@ -221,7 +233,7 @@ def build_run_config(data: dict) -> RunConfig:
         if not (cfg.line_width >= 0):
             raise ConfigError("error_budget.line_width", "must be non-negative")
     if "ranges" in eb:
-        given = _object(eb["ranges"], "error_budget.ranges")
+        given = _object(eb["ranges"], "error_budget.ranges", ("a", "c", "V"))
         ranges = {}
         for key, kind in (("a", "length"), ("c", "length"), ("V", "voltage")):
             name = f"error_budget.ranges.{key}"
@@ -239,7 +251,7 @@ def build_run_config(data: dict) -> RunConfig:
             ranges[key] = (lo, hi)
         cfg.nulling_ranges = ranges
 
-    spin = _object(data.get("spin", {}), "spin")
+    spin = _object(data.get("spin", {}), "spin", ("alpha_a", "alpha_b", "beta", "mu"))
     if "alpha_a" in spin:
         cfg.alpha_a = parse_number(spin["alpha_a"], "spin.alpha_a")
     if "alpha_b" in spin:
@@ -248,12 +260,7 @@ def build_run_config(data: dict) -> RunConfig:
         cfg.beta_grid = _grid(spin["beta"], "spin.beta", None)
         if any(b >= c for b, c in zip(cfg.beta_grid, cfg.beta_grid[1:])):
             raise ConfigError("spin.beta", "grid must be strictly ascending")
-    if "mu" in spin:
-        mu = spin["mu"]
-        if mu == "slaved":
-            cfg.mu_mode = "slaved"
-        else:
-            cfg.mu_mode = "fixed"
-            cfg.mu_fixed = parse_number(mu, "spin.mu")
+    if "mu" in spin and spin["mu"] != "slaved":
+        cfg.mu = parse_number(spin["mu"], "spin.mu")
 
     return cfg

@@ -6,8 +6,10 @@ ones: keeping them verbatim is what makes the reproduced numbers land on the
 reference results (115 MHz hyperfine coupling, -0.023 eV level residual, ...).
 
 Note on ``h``: the reference tables quote 6.62e-34 J*s, which is numerically
-Planck's constant h (not h-bar).  It is stored as ``h`` here and ``hbar`` is
-derived as h / 2 pi; all Hz conversions divide by ``h``.
+Planck's constant h (not h-bar).  It is stored as ``h`` here; all Hz
+conversions divide by ``h``.
+
+Every formula reads the one :data:`DEFAULT_CONSTANTS` record.
 """
 
 from __future__ import annotations
@@ -26,10 +28,6 @@ class PhysicalConstants:
     mu0: float = 4.0e-7 * math.pi   # vacuum permeability, T*m/A
     h: float = 6.62e-34             # Planck constant, J*s
 
-    @property
-    def hbar(self) -> float:
-        return self.h / (2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class MaterialParams:
@@ -47,45 +45,15 @@ class MaterialParams:
     psi0_sq: float = 0.43e30        # |Psi0(0)|^2 at V=0, m^-3
     Delta_E: float = 0.04 * 1.6e-19  # mean excitation energy, J (0.04 eV)
     delta_E: float | None = None    # 1s-2s residual, J; None -> computed
-    m_star: float = 0.31 * 9.1e-31  # effective electron mass, kg
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 DEFAULT_MATERIAL = MaterialParams()
 
 
-# --- unit converters ------------------------------------------------------
-
-def ev_to_joule(energy_ev: float, pc: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    return energy_ev * pc.e
-
-
-def joule_to_ev(energy_j: float, pc: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    return energy_j / pc.e
-
-
-def joule_to_hz(energy_j: float, pc: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    return energy_j / pc.h
-
-
-def hz_to_joule(freq_hz: float, pc: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    return freq_hz * pc.h
-
-
-def hz_to_mhz(freq_hz: float) -> float:
-    return freq_hz * 1e-6
-
-
-def mhz_to_hz(freq_mhz: float) -> float:
-    return freq_mhz * 1e6
-
-
 # --- derived quantities ---------------------------------------------------
 
-def hyperfine_constant_A0(
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> tuple[float, float]:
+def hyperfine_constant_A0(mat: MaterialParams = DEFAULT_MATERIAL) -> tuple[float, float]:
     """Contact hyperfine coupling of the donor ground state at V = 0.
 
     A = (8 pi / 3) |Psi0(0)|^2 * 2 mu_B * g_N mu_N * (mu0 / 4 pi), evaluated
@@ -96,26 +64,22 @@ def hyperfine_constant_A0(
     """
     if mat.psi0_sq < 0:
         raise ValueError("psi0_sq must be non-negative")
-    a_j = (2.0 / 3.0) * pc.mu0 * (2.0 * pc.mu_B) * (pc.g_N * pc.mu_N) * mat.psi0_sq
-    return a_j, a_j / pc.h
+    k = DEFAULT_CONSTANTS
+    a_j = (2.0 / 3.0) * k.mu0 * (2.0 * k.mu_B) * (k.g_N * k.mu_N) * mat.psi0_sq
+    return a_j, a_j / k.h
 
 
-def residual_delta_E(
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def residual_delta_E(mat: MaterialParams = DEFAULT_MATERIAL) -> float:
     """1s-2s energy residual delta_E = -(3/8) e^2 / (4 pi eps eps0 a*), in J.
 
     Negative for all physical inputs (~ -0.023 eV for the silicon defaults).
     """
     if mat.a_star <= 0 or mat.eps_r <= 0:
         raise ValueError("a_star and eps_r must be positive")
-    return -(3.0 / 8.0) * pc.e**2 / (4.0 * math.pi * mat.eps_r * pc.eps0 * mat.a_star)
+    k = DEFAULT_CONSTANTS
+    return -(3.0 / 8.0) * k.e**2 / (4.0 * math.pi * mat.eps_r * k.eps0 * mat.a_star)
 
 
-def effective_delta_E(
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def effective_delta_E(mat: MaterialParams = DEFAULT_MATERIAL) -> float:
     """The delta_E actually used by the perturbation formulas (override or computed)."""
-    return mat.delta_E if mat.delta_E is not None else residual_delta_E(mat, pc)
+    return mat.delta_E if mat.delta_E is not None else residual_delta_E(mat)

@@ -27,7 +27,6 @@ from .constants import (
     DEFAULT_CONSTANTS,
     DEFAULT_MATERIAL,
     MaterialParams,
-    PhysicalConstants,
     effective_delta_E,
     hyperfine_constant_A0,
 )
@@ -129,11 +128,8 @@ def strip_sensitivity_derivatives(
     return b1, b2, b3
 
 
-def _strip_coefficients(
-    gate: GateGeometry,
-    coefficients: str,
-    mat: MaterialParams,
-    pc: PhysicalConstants,
+def strip_coefficients(
+    gate: GateGeometry, coefficients: str, mat: MaterialParams = DEFAULT_MATERIAL
 ) -> tuple[float, float]:
     """(quadratic-shift, linear-sensitivity) scales of the error expression."""
     if coefficients == "published":
@@ -141,8 +137,9 @@ def _strip_coefficients(
     if coefficients != "recomputed":
         raise ValueError("coefficients must be 'published' or 'recomputed'")
     fc1 = strip_field_coeffs(1.0, gate.a, gate.c, gate.D)
-    quad = 9.0 * math.pi * pc.eps0 * mat.a_star**3 * fc1.E_c**2 / mat.Delta_E
-    lin = (2**8 / 3**6) * pc.e * fc1.E1_c * mat.a_star**2 / abs(effective_delta_E(mat, pc))
+    k = DEFAULT_CONSTANTS
+    quad = 9.0 * math.pi * k.eps0 * mat.a_star**3 * fc1.E_c**2 / mat.Delta_E
+    lin = (2**8 / 3**6) * k.e * fc1.E1_c * mat.a_star**2 / abs(effective_delta_E(mat))
     return quad, lin
 
 
@@ -151,11 +148,10 @@ def dx2_bracket(
     V: float,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """The curly bracket multiplying (dx)^2 in the relative-error expression."""
     t = strip_gate_terms(gate)
-    q, l = _strip_coefficients(gate, coefficients, mat, pc)
+    q, l = strip_coefficients(gate, coefficients, mat)
     return _bracket(q, l, t, V)
 
 
@@ -164,11 +160,10 @@ def dz_coefficient(
     V: float,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """The factor multiplying dz: q V^2 * 2c/(a^2+c^2)."""
     t = strip_gate_terms(gate)
-    q, _ = _strip_coefficients(gate, coefficients, mat, pc)
+    q, _ = strip_coefficients(gate, coefficients, mat)
     return _dz_coeff(q, gate.c, t, V)
 
 
@@ -176,11 +171,10 @@ def nulling_voltage(
     gate: GateGeometry,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float | None:
     """Closed-form root of the dx^2 bracket, or None when no finite positive root exists."""
     t = strip_gate_terms(gate)
-    q, l = _strip_coefficients(gate, coefficients, mat, pc)
+    q, l = strip_coefficients(gate, coefficients, mat)
     try:
         v = _root(q, l, t)
     except ZeroDivisionError:  # 2c^2 (2c^2 - a^2) = 0, or q = 0: no nonzero root
@@ -194,9 +188,7 @@ def relative_hic_error(
     err: PlacementError,
     coefficients: str = "published",
     line_width: float = DEFAULT_LINE_WIDTH,
-    A0_Hz: float | None = None,
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> ErrorBudgetReport:
     """Relative hyperfine error from placement offsets at working voltage V.
 
@@ -214,14 +206,14 @@ def relative_hic_error(
             "dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible",
             stacklevel=2,
         )
-    dz_term = err.dz * dz_coefficient(gate, V, coefficients, mat, pc)
-    dx2_term = err.dx**2 * dx2_bracket(gate, V, coefficients, mat, pc)
-    bound = admissible_voltage_error(gate, V, line_width, A0_Hz, mat, pc)
+    dz_term = err.dz * dz_coefficient(gate, V, coefficients, mat)
+    dx2_term = err.dx**2 * dx2_bracket(gate, V, coefficients, mat)
+    bound = admissible_voltage_error(gate, V, line_width, mat=mat)
     return ErrorBudgetReport(
         dA_over_A=dz_term + dx2_term,
         dz_term=dz_term,
         dx2_term=dx2_term,
-        nulling_V=nulling_voltage(gate, coefficients, mat, pc),
+        nulling_V=nulling_voltage(gate, coefficients, mat),
         admissible_dV=bound.dV,
         coefficients=coefficients,
     )
@@ -233,10 +225,9 @@ def dz_for_target(
     target: float,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
     """Depth offset dz producing the target relative error (dx = 0)."""
-    coeff = dz_coefficient(gate, V, coefficients, mat, pc)
+    coeff = dz_coefficient(gate, V, coefficients, mat)
     if coeff == 0.0:
         return math.inf
     return target / coeff
@@ -305,7 +296,6 @@ def admissible_voltage_error(
     line_width: float = DEFAULT_LINE_WIDTH,
     A0_Hz: float | None = None,
     mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> VoltageErrorBound:
     """Gate-voltage error keeping the hyperfine detuning below the line width.
 
@@ -316,8 +306,8 @@ def admissible_voltage_error(
     if line_width < 0:
         raise ValueError("line_width must be non-negative")
     if A0_Hz is None:
-        A0_Hz = hyperfine_constant_A0(mat, pc)[1]
-    lin, quad = voltage_polynomial(gate, mat, pc)
+        A0_Hz = hyperfine_constant_A0(mat)[1]
+    lin, quad = voltage_polynomial(gate, mat)
     slope = lin + 2.0 * quad * V
     t = line_width / A0_Hz
     if t == 0.0:

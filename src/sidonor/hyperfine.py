@@ -27,13 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_CONSTANTS,
-    DEFAULT_MATERIAL,
-    MaterialParams,
-    PhysicalConstants,
-    effective_delta_E,
-)
+from .constants import DEFAULT_CONSTANTS, DEFAULT_MATERIAL, MaterialParams, effective_delta_E
 from .electrostatics import FieldCoefficients, GateGeometry, field_coeffs
 
 # 2s-1s matrix-element coefficients for the quadratic perturbation pieces,
@@ -83,11 +77,7 @@ class HicShiftBreakdown:
     total: float                # exact sum of the three parts
 
 
-def matrix_element_2s1s(
-    fc: FieldCoefficients,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def matrix_element_2s1s(fc: FieldCoefficients, mat: MaterialParams = DEFAULT_MATERIAL) -> float:
     """<2s| dH |1s> for the gate perturbation, in joules.
 
     The constant and linear-in-z pieces of dH contribute zero (orthogonality
@@ -96,18 +86,14 @@ def matrix_element_2s1s(
         strip: e a*^2 (COEF_Z2 * E1_c - COEF_X2  * E2_c)
     """
     transverse = COEF_RHO2 if fc.geometry == "disc" else COEF_X2
-    return pc.e * mat.a_star**2 * (COEF_Z2 * fc.E1_c - transverse * fc.E2_c)
+    return DEFAULT_CONSTANTS.e * mat.a_star**2 * (COEF_Z2 * fc.E1_c - transverse * fc.E2_c)
 
 
-def second_order_shift(
-    fc: FieldCoefficients,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def second_order_shift(fc: FieldCoefficients, mat: MaterialParams = DEFAULT_MATERIAL) -> float:
     """Second-order part 2 dF2/F = -9 pi eps0 a*^3 E_c^2 / Delta_E (<= 0)."""
     if mat.Delta_E <= 0:
         raise ValueError("Delta_E must be positive")
-    return -9.0 * math.pi * pc.eps0 * mat.a_star**3 * fc.E_c**2 / mat.Delta_E + 0.0
+    return -9.0 * math.pi * DEFAULT_CONSTANTS.eps0 * mat.a_star**3 * fc.E_c**2 / mat.Delta_E + 0.0
 
 
 def first_order_effective_gradient(fc: FieldCoefficients) -> float:
@@ -122,11 +108,7 @@ def first_order_effective_gradient(fc: FieldCoefficients) -> float:
     return fc.E1_c - fc.E2_c
 
 
-def hic_shift(
-    fc: FieldCoefficients,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> HicShiftBreakdown:
+def hic_shift(fc: FieldCoefficients, mat: MaterialParams = DEFAULT_MATERIAL) -> HicShiftBreakdown:
     """Relative hyperfine shift dA(V)/A for the given field coefficients.
 
     dA/A = -9 pi eps0 a*^3 E_c^2/Delta_E
@@ -134,11 +116,11 @@ def hic_shift(
            + ((2^7/3^6) e Eeff a*^2 / delta_E)^2
     with Eeff from :func:`first_order_effective_gradient`.
     """
-    d_e = effective_delta_E(mat, pc)
+    d_e = effective_delta_E(mat)
     eff = first_order_effective_gradient(fc)
-    linear = (2**8 / 3**6) * pc.e * eff * mat.a_star**2 / d_e + 0.0  # no -0.0
+    linear = (2**8 / 3**6) * DEFAULT_CONSTANTS.e * eff * mat.a_star**2 / d_e + 0.0  # no -0.0
     squared = (linear / 2.0) ** 2
-    second = second_order_shift(fc, mat, pc)
+    second = second_order_shift(fc, mat)
     return HicShiftBreakdown(
         second_order=second,
         first_order_linear=linear,
@@ -148,14 +130,12 @@ def hic_shift(
 
 
 def voltage_polynomial(
-    gate: GateGeometry,
-    mat: MaterialParams = DEFAULT_MATERIAL,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
+    gate: GateGeometry, mat: MaterialParams = DEFAULT_MATERIAL
 ) -> tuple[float, float]:
     """(linear, quadratic) coefficients of dA(V)/A = linear*V + quadratic*V^2.
 
     Exact: the field coefficients scale linearly with V, so the first-order
     linear part is ~V and both the second-order and squared parts are ~V^2.
     """
-    b = hic_shift(field_coeffs(gate, 1.0), mat, pc)
+    b = hic_shift(field_coeffs(gate, 1.0), mat)
     return b.first_order_linear, b.second_order + b.first_order_squared

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS
 from .spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
@@ -56,6 +56,11 @@ DEFAULT_BETA_GRID = np.linspace(0.2, 3.0, 401)
 
 OVERLAP_AMBIGUITY = 1e-6
 _MAX_REFINE_DEPTH = 24
+# a gap below CROSSING_TOL times the local energy scale (at least 1) is a crossing
+CROSSING_TOL = 1e-9
+# the export pass resolves +-REFINE_WINDOW around each center REFINE_FACTOR times finer
+REFINE_WINDOW = 0.05
+REFINE_FACTOR = 10
 
 _log = logging.getLogger(__name__)
 
@@ -134,8 +139,7 @@ class Track:
 class SpectrumSweep:
     beta_grid: np.ndarray
     tracks: list[Track]        # block listing order, ascending within block
-    params: SpinParams         # template: alphas (+ mu when mu_mode = "fixed")
-    mu_mode: str               # "slaved" | "fixed"
+    system: _BlockSystem       # the Hamiltonian the tracks were solved with
 
     def energy_matrix(self) -> np.ndarray:
         """(n_beta, 16) matrix of all tracks in listing order."""
@@ -167,16 +171,16 @@ class TransferTrace:
 
 
 class _BlockSystem:
-    """Per-block Hamiltonian pieces H(beta) = C0 + beta*Cb + mu(beta)*Cm."""
+    """Per-block Hamiltonian pieces H(beta) = C0 + beta*Cb + mu(beta)*Cm.
 
-    def __init__(self, params: SpinParams, mu_mode: str):
-        if mu_mode not in ("slaved", "fixed"):
-            raise ValueError("mu_mode must be 'slaved' or 'fixed'")
-        self.params = params
-        self.mu_mode = mu_mode
+    ``mu=None`` slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
+    """
+
+    def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
+        self.alpha_a, self.alpha_b, self.mu = alpha_a, alpha_b, mu
         base, with_beta, with_mu = (
-            block_decompose(build_hamiltonian(SpinParams(params.alpha_a, params.alpha_b, beta, mu)))
-            for beta, mu in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+            block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, b, m)))
+            for b, m in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
         )
         self.parts = {
             b0.m_plus_M: (b0.matrix, bb.matrix - b0.matrix, bm.matrix - b0.matrix)
@@ -191,7 +195,7 @@ class _BlockSystem:
         """
         c0, cb, cm = self.parts[key]
         col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
-        mu = MU_OVER_BETA * col if self.mu_mode == "slaved" else self.params.mu
+        mu = MU_OVER_BETA * col if self.mu is None else self.mu
         h = col * cb
         h += c0
         h += mu * cm
@@ -249,9 +253,7 @@ def _match(system: _BlockSystem, key: int, b0, v0, b1, v1, depth: int = 0) -> li
 
 
 def sweep_spectrum(
-    template: SpinParams,
-    beta_grid=None,
-    mu_mode: str = "slaved",
+    alpha_a: float, alpha_b: float, beta_grid=None, mu: float | None = None
 ) -> SpectrumSweep:
     """Diagonalize all blocks over the beta grid with adiabatic continuation.
 
@@ -264,9 +266,10 @@ def sweep_spectrum(
     refinement included.  The tracks are bit-identical to greedy matching at
     every grid point.
 
-    ``mu_mode="slaved"`` ties mu to beta through the physical ratio
-    g_N mu_N / (2 mu_B) (a single swept field B); ``"fixed"`` holds
-    ``template.mu`` constant.
+    ``alpha_a`` and ``alpha_b`` are the hyperfine couplings in units of J.
+    ``mu=None`` ties mu to beta through the physical ratio g_N mu_N / (2 mu_B)
+    (a single swept field B); a number holds mu fixed.  ``beta_grid=None`` is
+    ``DEFAULT_BETA_GRID``.
     """
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
@@ -274,7 +277,7 @@ def sweep_spectrum(
     if betas.size > 1 and not np.all(np.diff(betas) > 0):
         raise ValueError("beta_grid must be strictly ascending")
 
-    system = _BlockSystem(template, mu_mode)
+    system = _BlockSystem(alpha_a, alpha_b, mu)
     rows = np.arange(betas.size)
     tracks: list[Track] = []
     for key in BLOCK_ORDER:
@@ -319,16 +322,15 @@ def sweep_spectrum(
                     vectors=vectors[rows, :, perm[:, t]],
                 )
             )
-    return SpectrumSweep(beta_grid=betas, tracks=tracks, params=template, mu_mode=mu_mode)
+    return SpectrumSweep(beta_grid=betas, tracks=tracks, system=system)
 
 
 def _locate_track_column(v_ref: np.ndarray, v: np.ndarray) -> int:
     return int(np.argmax(np.abs(v_ref @ v)))
 
 
-def _exchange_report(
-    system: _BlockSystem, sweep: SpectrumSweep, track: Track, crossing_tol: float
-) -> AnticrossingReport | None:
+def _exchange_report(sweep: SpectrumSweep, track: Track) -> AnticrossingReport | None:
+    system = sweep.system
     betas = sweep.beta_grid
     wts = track.vectors**2
     enter_label, enter_weight = track.dominant(-1)
@@ -373,12 +375,11 @@ def _exchange_report(
     partner = track.basis[int(np.argmax(np.abs(v[:, partner_col])))]
 
     scale = max(1.0, float(np.max(np.abs(w))))
-    kind = "anticrossing" if gap > crossing_tol * scale else "crossing"
+    kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
 
     eq19 = None
-    p = sweep.params
-    if p.alpha_a == p.alpha_b and beta_star > 1.1:
-        eq19 = eq19_gap_dimensionless(p.alpha_a, beta_star)
+    if system.alpha_a == system.alpha_b and beta_star > 1.1:
+        eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star)
 
     return AnticrossingReport(
         pair=(enter_label, exit_label),
@@ -393,7 +394,7 @@ def _exchange_report(
     )
 
 
-def _crossing_reports(sweep: SpectrumSweep, crossing_tol: float) -> list[AnticrossingReport]:
+def _crossing_reports(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     betas = sweep.beta_grid
     out = []
     for key in BLOCK_ORDER:
@@ -406,7 +407,7 @@ def _crossing_reports(sweep: SpectrumSweep, crossing_tol: float) -> list[Anticro
                     float(np.max(np.abs(block_tracks[s].energies))),
                     float(np.max(np.abs(block_tracks[t].energies))),
                 )
-                if np.max(np.abs(d)) <= crossing_tol * scale:
+                if np.max(np.abs(d)) <= CROSSING_TOL * scale:
                     continue  # degenerate pair everywhere, not a crossing
                 # explicit sign tests: a product of the gaps can overflow, or
                 # underflow to -0.0 and hide a real sign change
@@ -435,24 +436,21 @@ def _crossing_reports(sweep: SpectrumSweep, crossing_tol: float) -> list[Anticro
     return out
 
 
-def find_anticrossings(
-    sweep: SpectrumSweep, crossing_tol: float = 1e-9
-) -> list[AnticrossingReport]:
+def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     """All character exchanges (anticrossings) and true crossings of the sweep.
 
-    Gaps below ``crossing_tol`` (relative to the local energy scale) are
+    Gaps below ``CROSSING_TOL`` (relative to the local energy scale) are
     classified as crossings.  Deterministic ordering by (beta_star, block,
     pair).
     """
-    system = _BlockSystem(sweep.params, sweep.mu_mode)
     reports: list[AnticrossingReport] = []
     for track in sweep.tracks:
         if len(track.basis) < 2:
             continue
-        rep = _exchange_report(system, sweep, track, crossing_tol)
+        rep = _exchange_report(sweep, track)
         if rep is not None:
             reports.append(rep)
-    reports.extend(_crossing_reports(sweep, crossing_tol))
+    reports.extend(_crossing_reports(sweep))
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports
 
@@ -501,8 +499,8 @@ def adiabatic_transfer_trace(sweep: SpectrumSweep) -> list[TransferTrace]:
     return traces
 
 
-def refine_beta_grid(beta_grid, centers, window: float = 0.05, factor: int = 10):
-    """Merge factor-times-finer points within +-window of each center.
+def refine_beta_grid(beta_grid, centers):
+    """Merge REFINE_FACTOR-times-finer points within +-REFINE_WINDOW of each center.
 
     Used for the two-pass sweep export: a first pass locates the
     crossing/anticrossing points, the export pass resolves their vicinity
@@ -512,11 +510,11 @@ def refine_beta_grid(beta_grid, centers, window: float = 0.05, factor: int = 10)
     centers = [c for c in centers if grid[0] <= c <= grid[-1]]
     if grid.size < 2 or not centers:
         return grid
-    fine = float(np.min(np.diff(grid))) / factor
+    fine = float(np.min(np.diff(grid))) / REFINE_FACTOR
     pieces = [grid]
     for c in centers:
-        lo = max(grid[0], c - window)
-        hi = min(grid[-1], c + window)
+        lo = max(grid[0], c - REFINE_WINDOW)
+        hi = min(grid[-1], c + REFINE_WINDOW)
         pieces.append(np.arange(lo, hi + 0.5 * fine, fine))
     return np.unique(np.concatenate(pieces))
 
@@ -529,12 +527,7 @@ def eq19_gap_dimensionless(alpha: float, beta: float) -> float:
     return (alpha / 2.0) ** 2 * (1.0 / (beta - 1.0) - 1.0 / beta)
 
 
-def eq19_gap(
-    B: float,
-    J: float,
-    A: float,
-    pc: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> tuple[float, float]:
+def eq19_gap(B: float, J: float, A: float) -> tuple[float, float]:
     """Physical strong-field gap E14 - E15 = (A/2)^2/(2 mu_B B - J) - (A/2)^2/(2 mu_B B).
 
     Args:
@@ -550,7 +543,7 @@ def eq19_gap(
         raise ValueError("B must be positive")
     if J < 0:
         raise ValueError("J must be non-negative")
-    zeeman = 2.0 * pc.mu_B * B
+    zeeman = 2.0 * DEFAULT_CONSTANTS.mu_B * B
     if J > 0 and zeeman < 3.0 * J:
         raise ValueError(
             "strong-field formula requires 2 mu_B B >= 3 J (anticrossing region excluded)"
@@ -558,4 +551,4 @@ def eq19_gap(
     if J == 0.0 or A == 0.0:
         return 0.0, 0.0
     gap = (A / 2.0) ** 2 / (zeeman - J) - (A / 2.0) ** 2 / zeeman
-    return gap, gap / pc.h
+    return gap, gap / DEFAULT_CONSTANTS.h

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import DEFAULT_CONSTANTS
 
 # mu/beta = g_N mu_N / (2 mu_B): fixed physical ratio when one field B is swept
 MU_OVER_BETA = DEFAULT_CONSTANTS.g_N * DEFAULT_CONSTANTS.mu_N / (2.0 * DEFAULT_CONSTANTS.mu_B)
@@ -36,22 +36,15 @@ class SpinParams:
     mu: float
 
     @classmethod
-    def from_physical(
-        cls,
-        B: float,
-        J: float,
-        A_a: float,
-        A_b: float,
-        pc: PhysicalConstants = DEFAULT_CONSTANTS,
-    ) -> "SpinParams":
+    def from_physical(cls, B: float, J: float, A_a: float, A_b: float) -> "SpinParams":
         """Convert (B in T, J and A in J) to dimensionless form; J must be > 0."""
         if J <= 0:
             raise ValueError("exchange constant J must be positive")
         return cls(
             alpha_a=A_a / J,
             alpha_b=A_b / J,
-            beta=2.0 * pc.mu_B * B / J,
-            mu=pc.g_N * pc.mu_N * B / J,
+            beta=2.0 * DEFAULT_CONSTANTS.mu_B * B / J,
+            mu=DEFAULT_CONSTANTS.g_N * DEFAULT_CONSTANTS.mu_N * B / J,
         )
 
 

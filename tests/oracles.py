@@ -63,7 +63,7 @@ def eig_bisect(a, tol=1e-13):
     return np.array(out)
 
 
-def per_point_tracks(template, beta_grid, mu_mode):
+def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
     """Reference adiabatic tracking: one greedy ``_match`` per grid point.
 
     Returns a list of (block, energies, vectors) in ``sweep_spectrum``'s
@@ -73,7 +73,7 @@ def per_point_tracks(template, beta_grid, mu_mode):
     from sidonor.spin_hamiltonian import BLOCK_ORDER, BLOCKS
 
     betas = np.asarray(beta_grid, dtype=float)
-    system = _BlockSystem(template, mu_mode)
+    system = _BlockSystem(alpha_a, alpha_b, mu)
     out = []
     for key in BLOCK_ORDER:
         energies, vectors = eigensolve_block(system.stack(key, betas))

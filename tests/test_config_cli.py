@@ -304,12 +304,29 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
         (STRIP_CONFIG, "error-budget", "error_budget.target=-0.01", "error_budget.target"),
         (STRIP_CONFIG, "hic", 'gate={"kind":"strip","a":"1e-170 m","c":"1e-170 m","D":"1e-100 m"}',
          "gate"),
+        (STRIP_CONFIG, "error-budget", 'material.a_star="1e-300 m"', "material"),
+        (STRIP_CONFIG, "error-budget", 'material.psi0_sq="0 m^-3"', "material.psi0_sq"),
+        (STRIP_CONFIG, "error-budget", 'material.psi0_sq="1e-320 m^-3"', "material.psi0_sq"),
+        (STRIP_CONFIG, "hic", "foo=1", "foo"),
+        (STRIP_CONFIG, "hic", 'material.m_star="2.8e-31 kg"', "material.m_star"),
+        (STRIP_CONFIG, "hic", 'gate.radius="5 nm"', "gate.radius"),
+        (STRIP_CONFIG, "hic", 'voltage.step="0.1 V"', "voltage.step"),
+        (STRIP_CONFIG, "error-budget", 'placement.dy="1 nm"', "placement.dy"),
+        (STRIP_CONFIG, "error-budget", "error_budget.tolerance=0.1", "error_budget.tolerance"),
+        (STRIP_CONFIG, "error-budget", 'error_budget.ranges.D=["1 nm","2 nm"]',
+         "error_budget.ranges.D"),
+        (STRIP_CONFIG, "anticross", "spin.alpha_A=0.9", "spin.alpha_A"),
+        (STRIP_CONFIG, "anticross", "spin.beta.step=0.1", "spin.beta.step"),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
          "negative-line-width", "zero-Delta_E", "overflowing-gate", "overflowing-strip-placement",
          "overflowing-strip-hic-voltage", "overflowing-disc-hic-voltage",
-         "overflowing-error-budget-voltage", "negative-target", "underflowing-gate"],
+         "overflowing-error-budget-voltage", "negative-target", "underflowing-gate",
+         "underflowing-recomputed-coefficients", "zero-psi0_sq", "underflowing-psi0_sq",
+         "unknown-top-level-key", "unknown-material.m_star", "unknown-gate-key",
+         "unknown-grid-key", "unknown-placement-key", "unknown-error_budget-key",
+         "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field
@@ -354,10 +371,3 @@ def test_parsers_reject_non_finite_numbers():
         with pytest.raises(ConfigError, match="gate.a"):
             parse_quantity(value, kind, "gate.a")
 
-
-def test_mass_override_requires_unit(tmp_path):
-    cfg = write_config(tmp_path, {"material": {"m_star": 2.8e-31}})
-    with pytest.raises(ConfigError):
-        load_config(cfg)
-    cfg = write_config(tmp_path, {"material": {"m_star": "2.8e-31 kg"}})
-    assert load_config(cfg).material.m_star == pytest.approx(2.8e-31)

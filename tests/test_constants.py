@@ -1,17 +1,10 @@
-import math
-
 import pytest
 
+from sidonor.config import _UNITS, parse_quantity
 from sidonor.constants import (
     DEFAULT_CONSTANTS,
     MaterialParams,
-    ev_to_joule,
     hyperfine_constant_A0,
-    hz_to_joule,
-    hz_to_mhz,
-    joule_to_ev,
-    joule_to_hz,
-    mhz_to_hz,
     residual_delta_E,
 )
 
@@ -44,7 +37,7 @@ def test_hyperfine_constant_rejects_negative_density():
 
 
 def test_residual_delta_e_reference_value():
-    val_ev = joule_to_ev(residual_delta_E())
+    val_ev = residual_delta_E() / DEFAULT_CONSTANTS.e
     assert val_ev == pytest.approx(-0.022668415196110996, rel=1e-12)
     assert val_ev == pytest.approx(-0.023, rel=0.05)
 
@@ -71,16 +64,10 @@ def test_residual_delta_e_invalid_inputs():
 
 @pytest.mark.parametrize("value", [1.0, 0.04, 1.15e8, 3.7e-21])
 def test_unit_round_trips(value):
-    assert joule_to_ev(ev_to_joule(value)) == pytest.approx(value, rel=1e-12)
-    assert hz_to_joule(joule_to_hz(value)) == pytest.approx(value, rel=1e-12)
-    assert mhz_to_hz(hz_to_mhz(value)) == pytest.approx(value, rel=1e-12)
-    # composed chain eV -> J -> Hz -> MHz and back
-    mhz = hz_to_mhz(joule_to_hz(ev_to_joule(value)))
-    back = joule_to_ev(hz_to_joule(mhz_to_hz(mhz)))
-    assert back == pytest.approx(value, rel=1e-12)
-
-
-def test_hbar_is_h_over_two_pi():
-    assert DEFAULT_CONSTANTS.hbar == pytest.approx(
-        DEFAULT_CONSTANTS.h / (2 * math.pi), rel=1e-15
-    )
+    # the config unit table is the package's one set of unit conversions
+    for kind, units in _UNITS.items():
+        for unit, scale in units.items():
+            si = parse_quantity(f"{value!r} {unit}", kind, "x")
+            assert si / scale == pytest.approx(value, rel=1e-12)
+    assert parse_quantity(f"{value!r} eV", "energy", "x") == value * DEFAULT_CONSTANTS.e
+    assert parse_quantity(f"{value!r} MHz", "frequency", "x") == value * 1e6

@@ -164,7 +164,7 @@ def test_uncoupled_slaved_sweep_keeps_tracks_pure():
     still keep all its weight on one nuclear configuration at every beta,
     and keep its dominant character from end to end.
     """
-    sweep = sweep_spectrum(SpinParams(0.0, 0.0, 0.0, 0.0), mu_mode="slaved")
+    sweep = sweep_spectrum(0.0, 0.0)
     for track in sweep.tracks:
         nuclear = np.array([(BASIS[i - 1].ma, BASIS[i - 1].mb) for i in track.basis])
         configs = sorted(set(map(tuple, nuclear)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sidonor.acceptance import matrix_element_quadrature
-from sidonor.constants import DEFAULT_CONSTANTS, MaterialParams, ev_to_joule
+from sidonor.constants import DEFAULT_CONSTANTS, MaterialParams
 from sidonor.electrostatics import (
     FieldCoefficients,
     GateGeometry,
@@ -164,7 +164,7 @@ def test_disc_polynomial_reference_coefficients():
 
 def test_disc_linear_term_with_rounded_delta_e():
     # with the rounded -0.023 eV residual instead of the computed one
-    mat = MaterialParams(delta_E=ev_to_joule(-0.023))
+    mat = MaterialParams(delta_E=-0.023 * DEFAULT_CONSTANTS.e)
     lin, _ = voltage_polynomial(DISC, mat)
     assert lin == pytest.approx(0.522304503976388, rel=1e-12)
 

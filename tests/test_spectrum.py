@@ -27,12 +27,12 @@ from sidonor.spin_hamiltonian import (
     build_hamiltonian,
 )
 
-REFERENCE = SpinParams(0.3, 0.4, beta=0.0, mu=0.0)  # asymmetric couplings of the worked case
+REFERENCE = (0.3, 0.4)  # asymmetric couplings (alpha_a, alpha_b) of the worked case
 
 
 @pytest.fixture(scope="module")
 def reference_sweep():
-    return sweep_spectrum(REFERENCE, mu_mode="slaved")
+    return sweep_spectrum(*REFERENCE)
 
 
 # --- sweep basics -----------------------------------------------------------
@@ -63,7 +63,7 @@ def test_sweep_matches_direct_diagonalization(reference_sweep):
 
 
 def test_sweep_single_point_grid():
-    sweep = sweep_spectrum(REFERENCE, beta_grid=[1.0], mu_mode="slaved")
+    sweep = sweep_spectrum(*REFERENCE, beta_grid=[1.0])
     assert sweep.beta_grid.size == 1
     assert len(sweep.tracks) == 16
     assert find_anticrossings(sweep) == []  # nothing to exchange on one point
@@ -71,23 +71,21 @@ def test_sweep_single_point_grid():
 
 def test_sweep_rejects_bad_grids():
     with pytest.raises(ValueError):
-        sweep_spectrum(REFERENCE, beta_grid=[2.0, 1.0])
+        sweep_spectrum(*REFERENCE, beta_grid=[2.0, 1.0])
     with pytest.raises(ValueError):
-        sweep_spectrum(REFERENCE, beta_grid=[])
-    with pytest.raises(ValueError):
-        sweep_spectrum(REFERENCE, mu_mode="free")
+        sweep_spectrum(*REFERENCE, beta_grid=[])
 
 
 def test_sweep_deterministic(reference_sweep):
-    again = sweep_spectrum(REFERENCE, mu_mode="slaved")
+    again = sweep_spectrum(*REFERENCE)
     for t1, t2 in zip(reference_sweep.tracks, again.tracks):
         assert np.array_equal(t1.energies, t2.energies)
         assert np.array_equal(t1.vectors, t2.vectors)
 
 
 def test_mu_modes_differ():
-    slaved = sweep_spectrum(REFERENCE, beta_grid=[2.0], mu_mode="slaved")
-    fixed = sweep_spectrum(SpinParams(0.3, 0.4, 0.0, mu=0.05), beta_grid=[2.0], mu_mode="fixed")
+    slaved = sweep_spectrum(*REFERENCE, beta_grid=[2.0])
+    fixed = sweep_spectrum(*REFERENCE, beta_grid=[2.0], mu=0.05)
     e_slaved = sorted(t.energies[0] for t in slaved.tracks)
     e_fixed = sorted(t.energies[0] for t in fixed.tracks)
     assert not np.allclose(e_slaved, e_fixed, atol=1e-6)
@@ -95,9 +93,9 @@ def test_mu_modes_differ():
 
 # --- whole-grid tracking against the per-point matching loop ---------------
 
-def assert_same_tracks(template, grid, mu_mode):
-    sweep = sweep_spectrum(template, grid, mu_mode)
-    reference = per_point_tracks(template, grid, mu_mode)
+def assert_same_tracks(alphas, grid, mu):
+    sweep = sweep_spectrum(*alphas, grid, mu)
+    reference = per_point_tracks(*alphas, grid, mu)
     assert len(sweep.tracks) == len(reference)
     for track, (block, energies, vectors) in zip(sweep.tracks, reference):
         assert track.block == block
@@ -106,9 +104,9 @@ def assert_same_tracks(template, grid, mu_mode):
 
 
 @pytest.mark.parametrize("alphas", [(0.3, 0.4), (0.0, 0.0)], ids=["readme", "bare"])
-@pytest.mark.parametrize("mu_mode", ["slaved", "fixed"])
-def test_tracking_equals_per_point_loop(alphas, mu_mode):
-    assert_same_tracks(SpinParams(*alphas, beta=0.0, mu=0.02), spectrum.DEFAULT_BETA_GRID, mu_mode)
+@pytest.mark.parametrize("mu", [None, 0.02], ids=["slaved", "fixed"])
+def test_tracking_equals_per_point_loop(alphas, mu):
+    assert_same_tracks(alphas, spectrum.DEFAULT_BETA_GRID, mu)
 
 
 def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
@@ -121,7 +119,7 @@ def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
         return match(*args, **kwargs)
 
     monkeypatch.setattr(spectrum, "_match", counted)
-    assert_same_tracks(SpinParams(0.01, 0.05, 0.0, 0.0), np.linspace(0.2, 3.0, 15), "slaved")
+    assert_same_tracks((0.01, 0.05), np.linspace(0.2, 3.0, 15), None)
     assert calls
 
 
@@ -129,7 +127,7 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
     # every margin is below 2, so every step refines to the depth cap
     monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
     monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
-    assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), "slaved")
+    assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), None)
 
 
 @settings(max_examples=30)
@@ -139,16 +137,15 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
     start=st.floats(0.0, 2.5),
     width=st.floats(0.1, 3.0),
     points=st.integers(3, 60),
-    mu_mode=st.sampled_from(["slaved", "fixed"]),
-    mu=st.floats(-0.01, 0.01),
+    mu=st.one_of(st.none(), st.floats(-0.01, 0.01)),
 )
-def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu_mode, mu):
+def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu):
     grid = np.linspace(start, start + width, points)
-    assert_same_tracks(SpinParams(alpha_a, alpha_b, 0.0, mu), grid, mu_mode)
+    assert_same_tracks((alpha_a, alpha_b), grid, mu)
 
 
 def test_dominant_labels_are_the_per_point_argmax():
-    sweep = sweep_spectrum(REFERENCE, beta_grid=np.linspace(0.2, 3.0, 29), mu_mode="slaved")
+    sweep = sweep_spectrum(*REFERENCE, beta_grid=np.linspace(0.2, 3.0, 29))
     for track in sweep.tracks:
         labels, weights = track.dominants
         for i, v in enumerate(track.vectors):
@@ -161,7 +158,7 @@ def test_refinement_give_up_is_logged(monkeypatch, caplog):
     monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
     monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
     with caplog.at_level(logging.WARNING, logger="sidonor.spectrum"):
-        sweep_spectrum(REFERENCE, beta_grid=[0.5, 1.0, 1.5], mu_mode="slaved")
+        sweep_spectrum(*REFERENCE, beta_grid=[0.5, 1.0, 1.5])
     messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     # blocks 0, 1, -1 can be ambiguous; each of 2 steps splits once into 2 halves
     assert len(messages) == 3 * 2 * 2
@@ -170,7 +167,7 @@ def test_refinement_give_up_is_logged(monkeypatch, caplog):
 
 def test_no_give_up_warning_by_default(caplog):
     with caplog.at_level(logging.WARNING, logger="sidonor.spectrum"):
-        sweep_spectrum(REFERENCE, beta_grid=np.linspace(0.2, 3.0, 57), mu_mode="slaved")
+        sweep_spectrum(*REFERENCE, beta_grid=np.linspace(0.2, 3.0, 57))
     assert not caplog.records
 
 
@@ -178,7 +175,7 @@ def test_no_give_up_warning_by_default(caplog):
 
 @pytest.fixture(scope="module")
 def bare_sweep():
-    return sweep_spectrum(SpinParams(0.0, 0.0, 0.0, 0.0), mu_mode="fixed")
+    return sweep_spectrum(0.0, 0.0, mu=0.0)
 
 
 def test_bare_crossing_at_unit_beta(bare_sweep):
@@ -207,7 +204,7 @@ def test_bare_lowest_two_levels_touch_at_one(bare_sweep):
 # --- strong-field ordering --------------------------------------------------
 
 def test_triplet_quartet_below_singlet_quartet_at_strong_field():
-    sweep = sweep_spectrum(SpinParams(0.1, 0.1, 0.0, 0.0), beta_grid=[3.0], mu_mode="slaved")
+    sweep = sweep_spectrum(0.1, 0.1, beta_grid=[3.0])
     w = np.sort([t.energies[0] for t in sweep.tracks])
     assert np.all(np.abs(w[:4] - (-3.0 + 0.25)) < 0.2)   # electron triplet M = -1
     assert np.all(np.abs(w[4:8] - (-0.75)) < 0.1)        # electron singlet
@@ -236,7 +233,7 @@ def test_gap_grows_with_coupling_scale():
     # slightly asymmetric couplings keep the exchange labels well defined
     gaps = []
     for alpha in (0.05, 0.1, 0.2):
-        sweep = sweep_spectrum(SpinParams(0.75 * alpha, alpha, 0.0, 0.0), mu_mode="slaved")
+        sweep = sweep_spectrum(0.75 * alpha, alpha)
         transfers = {r.pair: r for r in spin_transfer_reports(find_anticrossings(sweep))}
         gaps.append(transfers[(15, 12)].min_gap)
     assert gaps[0] < gaps[1] < gaps[2]
@@ -255,7 +252,8 @@ def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
         Track(block=1, basis=basis, energies=np.array(e), vectors=np.tile(unit[k], (4, 1)))
         for k, e in enumerate((gaps, [0.0] * 4))
     ]
-    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, REFERENCE, "slaved")
+    system = spectrum._BlockSystem(*REFERENCE, None)
+    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, system)
     with np.errstate(over="raise"):
         reports = find_anticrossings(sweep)
     assert [(r.kind, r.pair) for r in reports] == [("crossing", (basis[0], basis[1]))]
@@ -285,7 +283,7 @@ def test_reference_traces(reference_sweep):
 def test_equal_couplings_transfer_is_even_mixture():
     # at alpha_a = alpha_b the a<->b symmetry ties |8> and |12> exactly, so no
     # single exit label dominates; the track still abandons its |14>/|15> character
-    sweep = sweep_spectrum(SpinParams(0.1, 0.1, 0.0, 0.0), mu_mode="slaved")
+    sweep = sweep_spectrum(0.1, 0.1)
     low = min(
         (t for t in sweep.tracks if t.block == -1), key=lambda t: t.energies[-1]
     )
