@@ -24,6 +24,7 @@ from .electrostatics import FieldCoefficients, GateGeometry, disc_field_coeffs
 from .error_budget import admissible_voltage_error, dz_for_target
 from .hyperfine import HydrogenicState, hic_shift, matrix_element_2s1s, voltage_polynomial
 from .spectrum import (
+    DEFAULT_BETA_GRID,
     adiabatic_transfer_trace,
     eigensolve_block,
     eq19_gap_dimensionless,
@@ -258,7 +259,7 @@ def criterion_10() -> CriterionResult:
 
 
 def criterion_11() -> CriterionResult:
-    betas = np.linspace(0.2, 3.0, 401)
+    betas = DEFAULT_BETA_GRID
     step = betas[1] - betas[0]
     levels = np.sort(sweep_spectrum(0.0, 0.0, betas, mu=0.0).energy_matrix(), axis=1)
     bstar = betas[int(np.argmin(levels[:, 4] - levels[:, 3]))]

@@ -28,8 +28,10 @@ from .acceptance import run_all
 from .config import ConfigError, RunConfig, load_config
 from .electrostatics import field_coeffs
 from .error_budget import (
+    admissible_voltage_error,
     dz_for_target,
     find_nulling_parameters,
+    nulling_voltage,
     relative_hic_error,
     strip_coefficients,
     strip_gate_terms,
@@ -90,6 +92,19 @@ def cmd_hic(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _placement_terms(gate, v: float, mode: str, cfg: RunConfig):
+    """The placement error terms at ``v``; a ConfigError names an offset that overflows them."""
+    try:
+        rep = relative_hic_error(gate, v, cfg.placement, mode, cfg.material)
+    except OverflowError:  # dx**2 beyond the float range
+        raise ConfigError("placement.dx", "the offset overflows the error terms") from None
+    for name, term in (("placement.dz", rep.dz_term), ("placement.dx", rep.dx2_term),
+                       ("placement", rep.dA_over_A)):
+        if not abs(term) < math.inf:
+            raise ConfigError(name, "the offset overflows the error terms")
+    return rep
+
+
 def cmd_error_budget(cfg: RunConfig, args) -> int:
     gate = _require_gate(cfg)
     if gate.kind != "strip":
@@ -103,32 +118,16 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
     q, l = strip_coefficients(gate, "recomputed", cfg.material)
     if not (0.0 < q < math.inf and 0.0 < l < math.inf):
         raise ConfigError("material", "recomputed strip coefficients not finite and positive")
+    # admissible_dV depends on V alone, nulling_V on the mode alone
+    dvs = [admissible_voltage_error(gate, v, cfg.line_width, mat=cfg.material).dV for v in cfg.voltages]
     rows = []
     for mode in ("published", "recomputed"):
-        for v in cfg.voltages:
-            rep = relative_hic_error(
-                gate,
-                v,
-                cfg.placement,
-                coefficients=mode,
-                line_width=cfg.line_width,
-                mat=cfg.material,
-            )
+        nulling_v = nulling_voltage(gate, mode, cfg.material)
+        for v, dv in zip(cfg.voltages, dvs):
+            rep = _placement_terms(gate, v, mode, cfg)
             dz_t = dz_for_target(gate, v, cfg.target, mode, cfg.material) if v > 0 else None
             in_band = dz_t is not None and 2e-9 <= dz_t <= 3e-9
-            rows.append(
-                [
-                    mode,
-                    v,
-                    rep.dz_term,
-                    rep.dx2_term,
-                    rep.dA_over_A,
-                    dz_t,
-                    int(in_band),
-                    rep.admissible_dV,
-                    rep.nulling_V,
-                ]
-            )
+            rows.append([mode, v, rep.dz_term, rep.dx2_term, rep.dA_over_A, dz_t, int(in_band), dv, nulling_v])
     _emit(
         args,
         "error_budget",

@@ -13,9 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .constants import DEFAULT_CONSTANTS, MaterialParams, hyperfine_constant_A0
+from .constants import DEFAULT_CONSTANTS, MaterialParams, hyperfine_constant_A0, linear_grid
 from .electrostatics import GateGeometry, field_coeffs
-from .error_budget import DEFAULT_LINE_WIDTH, PlacementError, linear_grid
+from .error_budget import DEFAULT_LINE_WIDTH, PlacementError
 from .hyperfine import hic_shift
 from .spectrum import DEFAULT_BETA_GRID
 
@@ -187,6 +187,8 @@ def build_run_config(data: dict) -> RunConfig:
     for key in ("a_star", "eps_r", "psi0_sq", "Delta_E"):
         if key in mat_kwargs and not (mat_kwargs[key] > 0):
             raise ConfigError(f"material.{key}", "must be positive")
+    if mat_kwargs.get("delta_E") == 0.0:  # the first-order shift divides by it
+        raise ConfigError("material.delta_E", "must be nonzero")
     cfg.material = MaterialParams(**mat_kwargs)
     if not (0.0 < hyperfine_constant_A0(cfg.material)[1] < math.inf):
         raise ConfigError("material.psi0_sq", "gives no finite positive hyperfine constant")

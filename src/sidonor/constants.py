@@ -1,4 +1,4 @@
-"""Physical constants and silicon donor material parameters.
+"""Physical constants, silicon donor material parameters and the one grid layout.
 
 Everything is SI internally.  The constant values are deliberately the
 rounded reference values of the original device analysis rather than CODATA
@@ -83,3 +83,15 @@ def residual_delta_E(mat: MaterialParams = DEFAULT_MATERIAL) -> float:
 def effective_delta_E(mat: MaterialParams = DEFAULT_MATERIAL) -> float:
     """The delta_E actually used by the perturbation formulas (override or computed)."""
     return mat.delta_E if mat.delta_E is not None else residual_delta_E(mat)
+
+
+def linear_grid(lo: float, hi: float, points: int) -> list[float]:
+    """``points`` evenly spaced floats from ``lo`` to ``hi`` inclusive; ``[lo]`` for one.
+
+    Every grid of the package (config voltage and beta grids, the default beta
+    grid, the nulling mesh axes) is laid out here, so equal (lo, hi, points)
+    give equal floats.
+    """
+    if points == 1:
+        return [lo]
+    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]

@@ -23,15 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import (
-    DEFAULT_CONSTANTS,
-    DEFAULT_MATERIAL,
-    MaterialParams,
-    effective_delta_E,
-    hyperfine_constant_A0,
-)
+from .constants import DEFAULT_MATERIAL, MaterialParams, hyperfine_constant_A0, linear_grid
 from .electrostatics import GateGeometry, strip_field_coeffs
-from .hyperfine import voltage_polynomial
+from .hyperfine import first_order_shift, second_order_shift, voltage_polynomial
 
 # published calibration coefficients (dimensionless per V^2 and per V)
 STRIP_QUAD_COEFF = 0.063
@@ -53,9 +47,6 @@ class ErrorBudgetReport:
     dA_over_A: float        # relative hyperfine error, dz_term + dx2_term exactly
     dz_term: float          # contribution linear in dz
     dx2_term: float         # contribution quadratic in dx
-    nulling_V: float | None  # voltage nulling the dx^2 bracket, if one exists
-    admissible_dV: float    # gate-voltage error bound for the line width used
-    coefficients: str       # "published" | "recomputed"
 
 
 @dataclass(frozen=True)
@@ -131,16 +122,17 @@ def strip_sensitivity_derivatives(
 def strip_coefficients(
     gate: GateGeometry, coefficients: str, mat: MaterialParams = DEFAULT_MATERIAL
 ) -> tuple[float, float]:
-    """(quadratic-shift, linear-sensitivity) scales of the error expression."""
+    """(quadratic-shift, linear-sensitivity) scales of the error expression.
+
+    "recomputed" takes them from the hyperfine shift of the strip at 1 V: minus
+    its second-order part and the magnitude of its first-order part on E1_c.
+    """
     if coefficients == "published":
         return STRIP_QUAD_COEFF, STRIP_LIN_COEFF
     if coefficients != "recomputed":
         raise ValueError("coefficients must be 'published' or 'recomputed'")
     fc1 = strip_field_coeffs(1.0, gate.a, gate.c, gate.D)
-    k = DEFAULT_CONSTANTS
-    quad = 9.0 * math.pi * k.eps0 * mat.a_star**3 * fc1.E_c**2 / mat.Delta_E
-    lin = (2**8 / 3**6) * k.e * fc1.E1_c * mat.a_star**2 / abs(effective_delta_E(mat))
-    return quad, lin
+    return -second_order_shift(fc1, mat), abs(first_order_shift(fc1.E1_c, mat))
 
 
 def dx2_bracket(
@@ -187,7 +179,6 @@ def relative_hic_error(
     V: float,
     err: PlacementError,
     coefficients: str = "published",
-    line_width: float = DEFAULT_LINE_WIDTH,
     mat: MaterialParams = DEFAULT_MATERIAL,
 ) -> ErrorBudgetReport:
     """Relative hyperfine error from placement offsets at working voltage V.
@@ -208,15 +199,7 @@ def relative_hic_error(
         )
     dz_term = err.dz * dz_coefficient(gate, V, coefficients, mat)
     dx2_term = err.dx**2 * dx2_bracket(gate, V, coefficients, mat)
-    bound = admissible_voltage_error(gate, V, line_width, mat=mat)
-    return ErrorBudgetReport(
-        dA_over_A=dz_term + dx2_term,
-        dz_term=dz_term,
-        dx2_term=dx2_term,
-        nulling_V=nulling_voltage(gate, coefficients, mat),
-        admissible_dV=bound.dV,
-        coefficients=coefficients,
-    )
+    return ErrorBudgetReport(dA_over_A=dz_term + dx2_term, dz_term=dz_term, dx2_term=dx2_term)
 
 
 def dz_for_target(
@@ -231,17 +214,6 @@ def dz_for_target(
     if coeff == 0.0:
         return math.inf
     return target / coeff
-
-
-def linear_grid(lo: float, hi: float, points: int) -> list[float]:
-    """``points`` evenly spaced floats from ``lo`` to ``hi`` inclusive; ``[lo]`` for one.
-
-    Every grid of the package (config voltage and beta grids, the nulling
-    mesh axes) is laid out here, so equal (lo, hi, points) give equal floats.
-    """
-    if points == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (points - 1) for i in range(points)]
 
 
 def find_nulling_parameters(

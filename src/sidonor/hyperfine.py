@@ -108,6 +108,12 @@ def first_order_effective_gradient(fc: FieldCoefficients) -> float:
     return fc.E1_c - fc.E2_c
 
 
+def first_order_shift(gradient: float, mat: MaterialParams = DEFAULT_MATERIAL) -> float:
+    """First-order part 2 dF1/F = (2^8/3^6) e G a*^2 / delta_E of an axial gradient G."""
+    shift = (2**8 / 3**6) * DEFAULT_CONSTANTS.e * gradient * mat.a_star**2 / effective_delta_E(mat)
+    return shift + 0.0  # no -0.0
+
+
 def hic_shift(fc: FieldCoefficients, mat: MaterialParams = DEFAULT_MATERIAL) -> HicShiftBreakdown:
     """Relative hyperfine shift dA(V)/A for the given field coefficients.
 
@@ -116,9 +122,7 @@ def hic_shift(fc: FieldCoefficients, mat: MaterialParams = DEFAULT_MATERIAL) -> 
            + ((2^7/3^6) e Eeff a*^2 / delta_E)^2
     with Eeff from :func:`first_order_effective_gradient`.
     """
-    d_e = effective_delta_E(mat)
-    eff = first_order_effective_gradient(fc)
-    linear = (2**8 / 3**6) * DEFAULT_CONSTANTS.e * eff * mat.a_star**2 / d_e + 0.0  # no -0.0
+    linear = first_order_shift(first_order_effective_gradient(fc), mat)
     squared = (linear / 2.0) ** 2
     second = second_order_shift(fc, mat)
     return HicShiftBreakdown(

@@ -41,7 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS
+from .constants import DEFAULT_CONSTANTS, linear_grid
 from .spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
@@ -52,7 +52,7 @@ from .spin_hamiltonian import (
     build_hamiltonian,
 )
 
-DEFAULT_BETA_GRID = np.linspace(0.2, 3.0, 401)
+DEFAULT_BETA_GRID = np.array(linear_grid(0.2, 3.0, 401))
 
 OVERLAP_AMBIGUITY = 1e-6
 _MAX_REFINE_DEPTH = 24

@@ -88,14 +88,9 @@ def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
 
 def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
     """Reference nulling search: one strip gate and three scalar calls per mesh point."""
+    from sidonor.constants import linear_grid
     from sidonor.electrostatics import GateGeometry
-    from sidonor.error_budget import (
-        NullingResult,
-        dx2_bracket,
-        dz_for_target,
-        linear_grid,
-        nulling_voltage,
-    )
+    from sidonor.error_budget import NullingResult, dx2_bracket, dz_for_target, nulling_voltage
 
     (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
     a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)

@@ -10,6 +10,7 @@ from sidonor import cli
 from sidonor.cli import main
 from sidonor.config import ConfigError, load_config, parse_number, parse_quantity, set_by_path
 from sidonor.error_budget import find_nulling_parameters
+from sidonor.spectrum import DEFAULT_BETA_GRID
 
 DISC_CONFIG = {
     "gate": {"kind": "disc", "a": "5 nm", "c": "10 nm"},
@@ -228,6 +229,9 @@ def test_config_grid_and_nulling_axis_are_the_same_floats():
     ranges = {"a": (lo, hi), "c": (10e-9, 10e-9), "V": (0.0, math.inf)}
     found = find_nulling_parameters(math.inf, ranges, grid_points=n)
     assert [r.a for r in found] == cfg.beta_grid
+    # with no config the beta grid is the README's {"start": 0.2, "stop": 3.0, "points": 401}
+    readme = load_config(None, ['spin.beta={"start": 0.2, "stop": 3.0, "points": 401}'])
+    assert load_config(None).beta_grid == readme.beta_grid == DEFAULT_BETA_GRID.tolist()
 
 
 def test_spectrum_single_point(tmp_path):
@@ -317,6 +321,11 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "error_budget.ranges.D"),
         (STRIP_CONFIG, "anticross", "spin.alpha_A=0.9", "spin.alpha_A"),
         (STRIP_CONFIG, "anticross", "spin.beta.step=0.1", "spin.beta.step"),
+        (DISC_CONFIG, "hic", 'material.delta_E="0 eV"', "material.delta_E"),
+        (STRIP_CONFIG, "error-budget", 'placement.dx="1e150 m"', "placement.dx"),  # dx^2 term -inf
+        (STRIP_CONFIG, "error-budget", 'placement.dx="1e200 m"', "placement.dx"),  # dx**2 raises
+        pytest.param(STRIP_CONFIG, "error-budget", 'placement.dz="1e302 m"', "placement.dz",
+                     marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
@@ -326,7 +335,8 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "underflowing-recomputed-coefficients", "zero-psi0_sq", "underflowing-psi0_sq",
          "unknown-top-level-key", "unknown-material.m_star", "unknown-gate-key",
          "unknown-grid-key", "unknown-placement-key", "unknown-error_budget-key",
-         "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key"],
+         "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key", "zero-delta_E",
+         "overflowing-dx2-term", "overflowing-dx2", "overflowing-dz-term"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field

@@ -16,8 +16,10 @@ from sidonor.error_budget import (
     find_nulling_parameters,
     nulling_voltage,
     relative_hic_error,
+    strip_coefficients,
     strip_sensitivity_derivatives,
 )
+from sidonor.hyperfine import voltage_polynomial
 
 A, C, D = 5e-9, 10e-9, 500e-9
 STRIP = GateGeometry(kind="strip", a=A, c=C, D=D)
@@ -107,7 +109,14 @@ def test_recomputed_coefficients_same_structure():
     rep_rec = relative_hic_error(STRIP, 0.6, PlacementError(1e-9, 1e-9), "recomputed")
     # model-level coefficients differ by less than a factor two
     assert 0.5 < rep_rec.dz_term / rep_pub.dz_term < 2.0
-    assert rep_rec.coefficients == "recomputed"
+
+
+def test_recomputed_quadratic_coefficient_is_the_strip_voltage_polynomial():
+    # the strip shift is purely quadratic in V, and its quadratic coefficient
+    # is minus the recomputed counterpart of the published 0.063
+    lin, quad = voltage_polynomial(STRIP)
+    assert lin == 0.0
+    assert strip_coefficients(STRIP, "recomputed")[0] == -quad
 
 
 # --- nulling ----------------------------------------------------------------
@@ -245,8 +254,6 @@ def test_voltage_error_monotonicity():
 
 
 def test_voltage_error_stationary_point_flagged():
-    from sidonor.hyperfine import voltage_polynomial
-
     lin, quad = voltage_polynomial(DISC)
     v_star = -lin / (2 * quad)  # distinguished voltage: linear sensitivity vanishes
     bound = admissible_voltage_error(DISC, v_star, line_width=1e4, A0_Hz=1.15e8)
