@@ -17,11 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import logging
 import math
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 from . import __version__
 from .acceptance import run_all
@@ -45,14 +51,71 @@ from .spectrum import (
     sweep_spectrum,
 )
 
+_log = logging.getLogger(__name__)
 
-def _write_csv(path: str, header: list[str], rows: list[list]):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        # cells are Python int/float/str/None: csv writes str(x), which is
-        # repr for a float, and "" for None
-        writer.writerows(rows)
+_CHUNK_ROWS = 1000  # rows formatted at a time: bounds the text held in memory
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _csv_quoted(text: str) -> str:
+    """``text`` as one cell of a csv row: quoted only where csv would quote it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
+def _cell(x) -> tuple[str, str]:
+    """(CSV text, JSON text) of one cell, as ``csv.writer`` and ``json.dump`` spell it."""
+    if x is None:
+        return "", "null"
+    kind = type(x)
+    if kind is float or kind is int:  # exact types: bool and numpy scalars are refused
+        text = repr(x)
+        return text, _JSON_NON_FINITE.get(text, text)
+    if kind is str:
+        return _csv_quoted(x), encode_basestring_ascii(x)
+    raise TypeError(f"table cell of type {kind.__name__}: expected float, int, str or None")
+
+
+def _format_column(values) -> tuple[list[str], list[str]]:
+    """(CSV texts, JSON texts) of a column; finite floats and ints share one text."""
+    kinds = set(map(type, values))
+    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
+        text = list(map(repr, values))
+        return text, text
+    csv_text, json_text = zip(*map(_cell, values))
+    return list(csv_text), list(json_text)
+
+
+def _write_table(csv_path: str | None, json_path: str | None, header: list[str], columns: list):
+    """Write one table as CSV and/or JSON (a ``None`` path skips that format).
+
+    The files are byte-identical to ``csv.writer`` rows and to
+    ``json.dump(records, indent=2, sort_keys=True)`` plus a newline, where
+    each record is ``dict(zip(header, row))``.  Each cell is formatted once,
+    ``_CHUNK_ROWS`` rows at a time, and every chunk goes to both files.
+    """
+    order = sorted(range(len(header)), key=header.__getitem__)  # the sort_keys order
+    record = "  {\n%s\n  }" % ",\n".join(
+        "    %s: %%s" % encode_basestring_ascii(header[j]).replace("%", "%%") for j in order
+    )
+    n_rows = len(columns[0])
+    with ExitStack() as stack:
+        csv_fh = json_fh = None
+        if csv_path is not None:
+            csv_fh = stack.enter_context(open(csv_path, "w", newline="", encoding="utf-8"))
+            csv_fh.write(",".join(map(_csv_quoted, header)) + "\n")
+        if json_path is not None:
+            json_fh = stack.enter_context(open(json_path, "w", encoding="utf-8"))
+        for start in range(0, n_rows, _CHUNK_ROWS):
+            cells = [_format_column(c[start:start + _CHUNK_ROWS]) for c in columns]
+            if csv_fh is not None:
+                csv_fh.write("\n".join(map(",".join, zip(*(c for c, _ in cells)))) + "\n")
+            if json_fh is not None:
+                json_fh.write(",\n" if start else "[\n")
+                json_fh.write(",\n".join(map(record.__mod__, zip(*(cells[j][1] for j in order)))))
+        if json_fh is not None:
+            json_fh.write("\n]\n" if n_rows else "[]\n")
 
 
 def _write_json(path: str, payload):
@@ -61,18 +124,16 @@ def _write_json(path: str, payload):
         fh.write("\n")
 
 
-def _emit(args, name: str, header: list[str], rows: list[list]):
+def _emit(args, name: str, header: list[str], columns: list):
+    """Write the table ``header``/``columns`` (one sequence per header entry) to the out dir."""
     os.makedirs(args.out_dir, exist_ok=True)
-    written = []
-    if args.format in ("csv", "both"):
-        path = os.path.join(args.out_dir, f"{name}.csv")
-        _write_csv(path, header, rows)
-        written.append(path)
-    if args.format in ("json", "both"):
-        path = os.path.join(args.out_dir, f"{name}.json")
-        _write_json(path, [dict(zip(header, row)) for row in rows])
-        written.append(path)
-    for path in written:
+    paths = {
+        fmt: os.path.join(args.out_dir, f"{name}.{fmt}")
+        for fmt in ("csv", "json")
+        if args.format in (fmt, "both")
+    }
+    _write_table(paths.get("csv"), paths.get("json"), header, columns)
+    for path in paths.values():
         print(f"wrote {path}")
 
 
@@ -84,16 +145,18 @@ def _require_gate(cfg: RunConfig):
 
 def cmd_hic(cfg: RunConfig, args) -> int:
     gate = _require_gate(cfg)
-    rows = []
-    for v in cfg.voltages:
-        b = hic_shift(field_coeffs(gate, v), cfg.material)
-        rows.append([v, b.second_order, b.first_order_linear, b.first_order_squared, b.total])
-    _emit(args, "hic", ["V", "second_order", "first_order_linear", "first_order_squared", "total"], rows)
+    shifts = [hic_shift(field_coeffs(gate, v), cfg.material) for v in cfg.voltages]
+    parts = ["second_order", "first_order_linear", "first_order_squared", "total"]
+    _emit(args, "hic", ["V", *parts], [cfg.voltages, *([getattr(b, p) for b in shifts] for p in parts)])
     return 0
 
 
 def _placement_terms(gate, v: float, mode: str, cfg: RunConfig):
-    """The placement error terms at ``v``; a ConfigError names an offset that overflows them."""
+    """The placement error terms at ``v``; a ConfigError names what overflows them.
+
+    The published rows come first.  When they passed at the same offsets, an
+    overflow in the recomputed mode comes from the recomputed coefficients.
+    """
     try:
         rep = relative_hic_error(gate, v, cfg.placement, mode, cfg.material)
     except OverflowError:  # dx**2 beyond the float range
@@ -101,6 +164,8 @@ def _placement_terms(gate, v: float, mode: str, cfg: RunConfig):
     for name, term in (("placement.dz", rep.dz_term), ("placement.dx", rep.dx2_term),
                        ("placement", rep.dA_over_A)):
         if not abs(term) < math.inf:
+            if mode == "recomputed":
+                raise ConfigError("material", "the recomputed strip coefficients overflow the error terms")
             raise ConfigError(name, "the offset overflows the error terms")
     return rep
 
@@ -132,15 +197,15 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
         args,
         "error_budget",
         ["mode", "V", "dz_term", "dx2_term", "dA_over_A", "dz_for_target", "dz_in_2_3_nm", "admissible_dV", "nulling_V"],
-        rows,
+        list(zip(*rows)),  # voltages are never empty, so neither are the rows
     )
 
     if cfg.nulling_ranges is not None:
         found = find_nulling_parameters(cfg.target, cfg.nulling_ranges)
-        nrows = [[r.a, r.c, r.V, r.bracket, r.admissible_dz] for r in found]
-        _emit(args, "nulling", ["a", "c", "V", "bracket", "admissible_dz"], nrows)
+        header = ["a", "c", "V", "bracket", "admissible_dz"]
+        _emit(args, "nulling", header, [[getattr(r, key) for r in found] for key in header])
         if not found:
-            print("warning: no nulling configuration in the given ranges")
+            _log.warning("no nulling configuration in the given ranges")
     return 0
 
 
@@ -151,17 +216,22 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if centers:
         refined = refine_beta_grid(sweep.beta_grid, centers)
         sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refined, cfg.mu)
-    columns = [(t.block, t.energies.tolist(), *t.dominants) for t in sweep.tracks]
-    rows = [
-        [beta, level, block, energy[i], label[i], weight[i]]
-        for i, beta in enumerate(sweep.beta_grid.tolist())
-        for level, (block, energy, label, weight) in enumerate(columns, start=1)
+    # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
+    n_beta, n_levels = sweep.beta_grid.size, len(sweep.tracks)
+    labels, weights = zip(*(t.dominants for t in sweep.tracks))
+    columns = [
+        np.repeat(sweep.beta_grid, n_levels),
+        np.tile(np.arange(1, n_levels + 1), n_beta),
+        np.tile([t.block for t in sweep.tracks], n_beta),
+        sweep.energy_matrix().ravel(),
+        np.transpose(labels).ravel(),
+        np.transpose(weights).ravel(),
     ]
     _emit(
         args,
         "spectrum",
         ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"],
-        rows,
+        [c.tolist() for c in columns],
     )
     _write_anticross(args, sweep)
     return 0

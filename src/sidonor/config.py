@@ -190,6 +190,10 @@ def build_run_config(data: dict) -> RunConfig:
     if mat_kwargs.get("delta_E") == 0.0:  # the first-order shift divides by it
         raise ConfigError("material.delta_E", "must be nonzero")
     cfg.material = MaterialParams(**mat_kwargs)
+    try:  # the shifts scale as a*^2 and a*^3; a*^3 overflows first
+        cfg.material.a_star**3
+    except OverflowError:
+        raise ConfigError("material.a_star", "a*^3 overflows the hyperfine shift") from None
     if not (0.0 < hyperfine_constant_A0(cfg.material)[1] < math.inf):
         raise ConfigError("material.psi0_sq", "gives no finite positive hyperfine constant")
 

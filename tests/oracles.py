@@ -6,8 +6,12 @@ counting (LDL^T pivots of A - x I) plus bisection on the characteristic
 polynomial's sign structure.  The exceptions are the per-point loops that
 whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
 tracking in ``sweep_spectrum`` and :func:`per_point_nulling` for the mesh
-search in ``find_nulling_parameters``.
+search in ``find_nulling_parameters``, and :func:`write_table` for the
+columnar table writer in ``cli``, which must write the same bytes.
 """
+
+import csv
+import json
 
 import numpy as np
 
@@ -107,3 +111,19 @@ def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
                 bracket = dx2_bracket(gate, root)
                 results.append(NullingResult(a=a, c=c, V=root, bracket=bracket, admissible_dz=adm))
     return results
+
+
+def write_table(csv_path, json_path, header, rows):
+    """Reference table writer: ``csv.writer`` rows and ``json.dump`` of one dict per row.
+
+    Either path may be ``None`` to skip that format.
+    """
+    if csv_path is not None:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    if json_path is not None:
+        with open(json_path, "w", encoding="utf-8") as fh:
+            json.dump([dict(zip(header, row)) for row in rows], fh, indent=2, sort_keys=True)
+            fh.write("\n")

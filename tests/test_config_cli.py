@@ -1,10 +1,17 @@
+import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import write_table
 
 from sidonor import cli
 from sidonor.cli import main
@@ -156,13 +163,14 @@ def test_error_budget_command(tmp_path):
     assert float(nulling[1][2]) == pytest.approx(0.7468820861678004, rel=1e-6)
 
 
-def test_error_budget_empty_ranges_warn_but_succeed(tmp_path, capsys):
+def test_error_budget_empty_ranges_warn_but_succeed(tmp_path, caplog):
     payload = json.loads(json.dumps(STRIP_CONFIG))
     payload["error_budget"]["ranges"]["V"] = ["0.1 V", "0.2 V"]  # off-root window
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert main(["error-budget", "--config", cfg, "--out-dir", str(out)]) == 0
-    assert "no nulling configuration" in capsys.readouterr().out
+    assert [(r.name, r.levelname) for r in caplog.records] == [("sidonor.cli", "WARNING")]
+    assert "no nulling configuration" in caplog.text
     assert len(read_csv(out / "nulling.csv")) == 1  # header only
 
 
@@ -199,28 +207,65 @@ def test_spectrum_command(tmp_path):
     assert all(set(t) == trace_keys for t in report["transfer_traces"])
 
 
-def test_csv_cells_are_python_scalars(tmp_path, monkeypatch):
-    # the csv module formats the cells, so every cell must be a Python scalar
-    # that it writes as repr (float), str (int, str) or "" (None)
-    seen = {}
-    write_csv = cli._write_csv
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 1e16, 1e-7, math.inf, -math.inf, math.nan)
+CELL_TEXT = st.text(st.sampled_from('ab ,"\n\r%\u00e9\u20ac'), max_size=6)
+COLUMN_CELLS = (  # one strategy per column: the all-float and all-int columns take the fast path
+    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    st.integers(-(2**70), 2**70),
+    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.integers(-(2**70), 2**70), st.none(), CELL_TEXT),
+)
 
-    def capture(path, header, rows):
-        seen[os.path.basename(path)] = rows
-        write_csv(path, header, rows)
 
-    monkeypatch.setattr(cli, "_write_csv", capture)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_table_writer_equals_oracle(data):
+    header = data.draw(
+        st.lists(CELL_TEXT, min_size=2, max_size=5, unique=True).filter(lambda h: h != sorted(h)),
+        label="header",
+    )
+    kinds = [data.draw(st.sampled_from(COLUMN_CELLS)) for _ in header]
+    # a few distinct rows repeated cyclically fill 0-3 chunks without drawing every cell
+    pool = data.draw(st.lists(st.tuples(*kinds), min_size=1, max_size=4), label="pool")
+    n_rows = data.draw(st.integers(0, 3 * cli._CHUNK_ROWS), label="n_rows")
+    fmt = data.draw(st.sampled_from(["csv", "json", "both"]), label="format")
+    rows = [list(pool[i % len(pool)]) for i in range(n_rows)]
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
+    with tempfile.TemporaryDirectory() as tmp:
+        new, ref = os.path.join(tmp, "new"), os.path.join(tmp, "ref")
+        os.mkdir(ref)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._emit(argparse.Namespace(out_dir=new, format=fmt), "t", header, columns)
+        paths = {ext: os.path.join(ref, f"t.{ext}") for ext in ("csv", "json") if fmt in (ext, "both")}
+        write_table(paths.get("csv"), paths.get("json"), header, rows)
+        assert sorted(os.listdir(new)) == sorted(os.listdir(ref))
+        for name in os.listdir(ref):
+            with open(os.path.join(new, name), "rb") as a, open(os.path.join(ref, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
+def test_table_files_round_trip(tmp_path):
+    # the JSON is canonical json.dumps output and the CSV spells the same values
     payload = json.loads(json.dumps(STRIP_CONFIG))
-    payload["voltage"] = {"values": ["0 V", "0.6 V"]}  # V = 0 gives a None cell
+    payload["voltage"] = {"values": ["0 V", "0.6 V"]}  # V = 0 gives None cells
     strip = write_config(tmp_path, payload)
     spin = write_config(tmp_path, {"spin": {"beta": {"start": 0.2, "stop": 3.0, "points": 57}}}, "spin.json")
-    for argv in (["hic", "--config", strip], ["error-budget", "--config", strip],
-                 ["spectrum", "--config", spin]):
-        assert main([*argv, "--out-dir", str(tmp_path / "out"), "--format", "csv"]) == 0
-    assert set(seen) == {"hic.csv", "error_budget.csv", "nulling.csv", "spectrum.csv"}
-    assert any(x is None for row in seen["error_budget.csv"] for x in row)
-    for name, rows in seen.items():
-        assert {type(x) for row in rows for x in row} <= {int, float, str, type(None)}, name
+    out = tmp_path / "out"
+    for argv, tables in ((["hic", "--config", strip], ["hic"]),
+                         (["error-budget", "--config", strip], ["error_budget", "nulling"]),
+                         (["spectrum", "--config", spin], ["spectrum"])):
+        assert main([*argv, "--out-dir", str(out), "--format", "both"]) == 0
+        for name in tables:
+            text = (out / f"{name}.json").read_text(encoding="utf-8")
+            records = json.loads(text)
+            assert text == json.dumps(records, indent=2, sort_keys=True) + "\n"
+            header, *rows = read_csv(out / f"{name}.csv")
+            spelled = [
+                {k: "" if v is None else v if isinstance(v, str) else repr(v) for k, v in rec.items()}
+                for rec in records
+            ]
+            assert [dict(zip(header, row)) for row in rows] == spelled, name
+            if name == "error_budget":
+                assert any(v is None for rec in records for v in rec.values())
 
 
 def test_config_grid_and_nulling_axis_are_the_same_floats():
@@ -326,6 +371,8 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
         (STRIP_CONFIG, "error-budget", 'placement.dx="1e200 m"', "placement.dx"),  # dx**2 raises
         pytest.param(STRIP_CONFIG, "error-budget", 'placement.dz="1e302 m"', "placement.dz",
                      marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
+        (STRIP_CONFIG, "error-budget", 'material.a_star="1e200 m"', "material.a_star"),
+        (STRIP_CONFIG, "error-budget", 'material.delta_E="1e-320 J"', "material"),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
@@ -336,7 +383,8 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "unknown-top-level-key", "unknown-material.m_star", "unknown-gate-key",
          "unknown-grid-key", "unknown-placement-key", "unknown-error_budget-key",
          "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key", "zero-delta_E",
-         "overflowing-dx2-term", "overflowing-dx2", "overflowing-dz-term"],
+         "overflowing-dx2-term", "overflowing-dx2", "overflowing-dz-term", "overflowing-a_star",
+         "overflowing-recomputed-dx2-term"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field
