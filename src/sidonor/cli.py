@@ -78,23 +78,40 @@ def _cell(x) -> tuple[str, str]:
 
 
 def _format_column(values) -> tuple[list[str], list[str]]:
-    """(CSV texts, JSON texts) of a column; finite floats and ints share one text."""
-    kinds = set(map(type, values))
-    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
-        text = list(map(repr, values))
+    """(CSV texts, JSON texts) of a column: a float64/int64 array or a list of cells.
+
+    An array's distinct values are formatted once each and gathered through
+    the inverse index.  Floats are told apart by bit pattern, so ``-0.0`` and
+    ``0.0``, and NaNs of different payloads, never share a text.
+    """
+    if not isinstance(values, np.ndarray):
+        csv_text, json_text = zip(*map(_cell, values))
+        return list(csv_text), list(json_text)
+    keys = values.view(np.uint64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(values.dtype)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)[inverse].tolist()
+    if values.dtype == np.int64 or np.isfinite(distinct).all():  # one spelling in both files
         return text, text
-    csv_text, json_text = zip(*map(_cell, values))
-    return list(csv_text), list(json_text)
+    return text, [_JSON_NON_FINITE.get(t, t) for t in text]
 
 
 def _write_table(csv_path: str | None, json_path: str | None, header: list[str], columns: list):
     """Write one table as CSV and/or JSON (a ``None`` path skips that format).
 
-    The files are byte-identical to ``csv.writer`` rows and to
-    ``json.dump(records, indent=2, sort_keys=True)`` plus a newline, where
-    each record is ``dict(zip(header, row))``.  Each cell is formatted once,
-    ``_CHUNK_ROWS`` rows at a time, and every chunk goes to both files.
+    A column is a 1-D float64 or int64 array, or a list of Python floats,
+    ints, strings and ``None``.  The files are byte-identical to
+    ``csv.writer`` rows and to ``json.dump(records, indent=2, sort_keys=True)``
+    plus a newline, where each record is ``dict(zip(header, row))`` of the
+    columns' Python values.  Each cell is formatted once, ``_CHUNK_ROWS`` rows
+    at a time, and every chunk goes to both files.
     """
+    for column in columns:
+        if not isinstance(column, np.ndarray):
+            continue
+        if column.ndim != 1 or column.dtype not in (np.float64, np.int64):
+            raise TypeError(f"table column of {column.ndim} dimensions and dtype {column.dtype}: "
+                            "expected a 1-D float64 or int64 array")
     order = sorted(range(len(header)), key=header.__getitem__)  # the sort_keys order
     record = "  {\n%s\n  }" % ",\n".join(
         "    %s: %%s" % encode_basestring_ascii(header[j]).replace("%", "%%") for j in order
@@ -203,7 +220,7 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
     if cfg.nulling_ranges is not None:
         found = find_nulling_parameters(cfg.target, cfg.nulling_ranges)
         header = ["a", "c", "V", "bracket", "admissible_dz"]
-        _emit(args, "nulling", header, [[getattr(r, key) for r in found] for key in header])
+        _emit(args, "nulling", header, [getattr(found, key) for key in header])
         if not found:
             _log.warning("no nulling configuration in the given ranges")
     return 0
@@ -227,12 +244,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         np.transpose(labels).ravel(),
         np.transpose(weights).ravel(),
     ]
-    _emit(
-        args,
-        "spectrum",
-        ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"],
-        [c.tolist() for c in columns],
-    )
+    header = ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"]
+    _emit(args, "spectrum", header, columns)
     _write_anticross(args, sweep)
     return 0
 

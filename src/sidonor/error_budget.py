@@ -11,7 +11,9 @@ geometry so the two can be compared.
 The dx^2 bracket is q V^2 (2c^2 - a^2)/s^2 - l V (2c^4 - a^4)/(2 c^2 s^2)
 with s = a^2 + c^2, so its only nonzero root in V has the closed form
 :func:`nulling_voltage`; :func:`find_nulling_parameters` evaluates it over the
-whole (a, c) mesh at once, in pow-free terms that floats and arrays round alike.
+whole (a, c) mesh at once, in pow-free terms that floats and arrays round alike,
+and returns the configurations that qualify as the float64 columns of a
+:class:`NullingTable`, with no per-row objects.
 """
 
 from __future__ import annotations
@@ -57,13 +59,18 @@ class VoltageErrorBound:
     quadratic: float        # quadratic coefficient of dA/A
 
 
-@dataclass(frozen=True)
-class NullingResult:
-    a: float                # strip half-width, m
-    c: float                # donor depth, m
-    V: float                # voltage at which the dx^2 bracket vanishes
-    bracket: float          # residual bracket value at (a, c, V)
-    admissible_dz: float    # dz allowed by the target at this configuration
+@dataclass(frozen=True, eq=False)
+class NullingTable:
+    """The nulling search's rows as columns: one float64 array each, in (a, c) order."""
+
+    a: np.ndarray              # strip half-width, m
+    c: np.ndarray              # donor depth, m
+    V: np.ndarray              # voltage at which the dx^2 bracket vanishes
+    bracket: np.ndarray        # residual bracket value at (a, c, V)
+    admissible_dz: np.ndarray  # dz allowed by the target at this configuration
+
+    def __len__(self) -> int:
+        return self.a.size
 
 
 _StripTerms = namedtuple("_StripTerms", "a2 c2 a4 c4 s p2 p4")
@@ -221,7 +228,7 @@ def find_nulling_parameters(
     ranges: dict,
     grid_points: int = 101,
     min_dz: float = 1e-9,
-) -> list[NullingResult]:
+) -> NullingTable:
     """Configurations on an (a, c) mesh whose nulling voltage lies in the V range.
 
     ``ranges`` maps "a", "c", "V" to (lo, hi) intervals (meters / volts);
@@ -232,8 +239,9 @@ def find_nulling_parameters(
     never reported.  A configuration qualifies when that root lies
     in the closed V interval and the dz admitted by ``target`` there is at
     least ``min_dz`` (with target = inf every root in range qualifies).
-    Results are ordered by (a, c); no root in range gives an empty list, not
-    an error.  One pass over the mesh gives the scalar functions' bits; the
+    The rows come back as a :class:`NullingTable` of columns ordered by
+    (a, c); no root in range gives a table of zero-length columns, not an
+    error.  One pass over the mesh gives the scalar functions' bits; the
     published coefficients need no coefficient mode, material, constants or D.
     """
     for key in ("a", "c", "V"):
@@ -244,8 +252,8 @@ def find_nulling_parameters(
         if key != "V" and not ranges[key][0] > 0:
             raise ValueError(f"lengths in {key!r} must be positive")
     (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
-    a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)
-    c_axis = linear_grid(c_lo, c_hi, 1 if c_hi == c_lo else grid_points)
+    a_axis = np.array(linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points))
+    c_axis = np.array(linear_grid(c_lo, c_hi, 1 if c_hi == c_lo else grid_points))
     a, c = np.meshgrid(a_axis, c_axis, indexing="ij", sparse=True)
     q, l = STRIP_QUAD_COEFF, STRIP_LIN_COEFF
     with np.errstate(all="ignore"):
@@ -257,9 +265,8 @@ def find_nulling_parameters(
         keep &= adm >= min_dz
         bracket = _bracket(q, l, t, root)
     # row-major over the "ij" mesh is (a, c) order; the rows share the axis floats
-    i, j = (ix.tolist() for ix in np.nonzero(keep))
-    columns = (x[keep].tolist() for x in (root, bracket, adm))
-    return [NullingResult(a_axis[m], c_axis[n], *row) for m, n, *row in zip(i, j, *columns)]
+    i, j = np.nonzero(keep)
+    return NullingTable(a_axis[i], c_axis[j], root[keep], bracket[keep], adm[keep])
 
 
 def admissible_voltage_error(

@@ -91,10 +91,13 @@ def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
 
 
 def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
-    """Reference nulling search: one strip gate and three scalar calls per mesh point."""
+    """Reference nulling search: one strip gate and three scalar calls per mesh point.
+
+    Returns a list of (a, c, V, bracket, admissible_dz) rows in (a, c) order.
+    """
     from sidonor.constants import linear_grid
     from sidonor.electrostatics import GateGeometry
-    from sidonor.error_budget import NullingResult, dx2_bracket, dz_for_target, nulling_voltage
+    from sidonor.error_budget import dx2_bracket, dz_for_target, nulling_voltage
 
     (a_lo, a_hi), (c_lo, c_hi), (v_lo, v_hi) = ranges["a"], ranges["c"], ranges["V"]
     a_axis = linear_grid(a_lo, a_hi, 1 if a_hi == a_lo else grid_points)
@@ -109,7 +112,7 @@ def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
             adm = dz_for_target(gate, root, target)
             if adm >= min_dz:
                 bracket = dx2_bracket(gate, root)
-                results.append(NullingResult(a=a, c=c, V=root, bracket=bracket, admissible_dz=adm))
+                results.append((a, c, root, bracket, adm))
     return results
 
 

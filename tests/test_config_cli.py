@@ -8,6 +8,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,7 +172,8 @@ def test_error_budget_empty_ranges_warn_but_succeed(tmp_path, caplog):
     assert main(["error-budget", "--config", cfg, "--out-dir", str(out)]) == 0
     assert [(r.name, r.levelname) for r in caplog.records] == [("sidonor.cli", "WARNING")]
     assert "no nulling configuration" in caplog.text
-    assert len(read_csv(out / "nulling.csv")) == 1  # header only
+    assert (out / "nulling.csv").read_text(encoding="utf-8") == "a,c,V,bracket,admissible_dz\n"
+    assert (out / "nulling.json").read_text(encoding="utf-8") == "[]\n"
 
 
 def test_spectrum_command(tmp_path):
@@ -207,12 +209,18 @@ def test_spectrum_command(tmp_path):
     assert all(set(t) == trace_keys for t in report["transfer_traces"])
 
 
-SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 1e16, 1e-7, math.inf, -math.inf, math.nan)
+PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0].item()
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e-310, 1e16, 1e-7, math.inf, -math.inf, math.nan,
+                  -math.nan, PAYLOAD_NAN)
 CELL_TEXT = st.text(st.sampled_from('ab ,"\n\r%\u00e9\u20ac'), max_size=6)
-COLUMN_CELLS = (  # one strategy per column: the all-float and all-int columns take the fast path
-    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
-    st.integers(-(2**70), 2**70),
-    st.one_of(st.sampled_from(SPECIAL_FLOATS), st.integers(-(2**70), 2**70), st.none(), CELL_TEXT),
+FLOAT_CELLS = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+COLUMN_KINDS = (  # (cells, dtype): a list column when dtype is None, else an array column
+    (FLOAT_CELLS, None),
+    (st.integers(-(2**70), 2**70), None),
+    (st.one_of(st.sampled_from(SPECIAL_FLOATS), st.integers(-(2**70), 2**70), st.none(), CELL_TEXT),
+     None),
+    (FLOAT_CELLS, np.float64),
+    (st.integers(-(2**63), 2**63 - 1), np.int64),
 )
 
 
@@ -223,13 +231,21 @@ def test_table_writer_equals_oracle(data):
         st.lists(CELL_TEXT, min_size=2, max_size=5, unique=True).filter(lambda h: h != sorted(h)),
         label="header",
     )
-    kinds = [data.draw(st.sampled_from(COLUMN_CELLS)) for _ in header]
-    # a few distinct rows repeated cyclically fill 0-3 chunks without drawing every cell
-    pool = data.draw(st.lists(st.tuples(*kinds), min_size=1, max_size=4), label="pool")
+    kinds = [data.draw(st.sampled_from(COLUMN_KINDS)) for _ in header]
+    # a few distinct rows repeated cyclically fill 0-3 chunks without drawing every
+    # cell; each value recurs within a chunk and across chunks
+    pool = data.draw(st.lists(st.tuples(*(cells for cells, _ in kinds)), min_size=1, max_size=6),
+                     label="pool")
     n_rows = data.draw(st.integers(0, 3 * cli._CHUNK_ROWS), label="n_rows")
     fmt = data.draw(st.sampled_from(["csv", "json", "both"]), label="format")
-    rows = [list(pool[i % len(pool)]) for i in range(n_rows)]
-    columns = [list(c) for c in zip(*rows)] or [[] for _ in header]
+    cells = [[pool[i % len(pool)][j] for i in range(n_rows)] for j in range(len(header))]
+    columns = [c if dtype is None else np.array(c, dtype=dtype) for c, (_, dtype) in zip(cells, kinds)]
+    assert_table_equals_oracle(header, columns, fmt)
+
+
+def assert_table_equals_oracle(header, columns, fmt):
+    """``cli._emit`` writes the bytes of ``write_table`` on the columns' Python values."""
+    rows = [list(r) for r in zip(*(c if isinstance(c, list) else c.tolist() for c in columns))]
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = os.path.join(tmp, "new"), os.path.join(tmp, "ref")
         os.mkdir(ref)
@@ -241,6 +257,30 @@ def test_table_writer_equals_oracle(data):
         for name in os.listdir(ref):
             with open(os.path.join(new, name), "rb") as a, open(os.path.join(ref, name), "rb") as b:
                 assert a.read() == b.read(), name
+
+
+def test_table_writer_tells_zero_signs_and_nan_payloads_apart():
+    # equal as numbers, distinct as bits: each keeps its own spelling in a shared chunk
+    values = [0.0, -0.0, math.nan, -math.nan, PAYLOAD_NAN, math.inf, -math.inf, 1.0, -0.0, 0.0]
+    column = np.array(values * 150)  # 1,500 rows: two chunks
+    assert_table_equals_oracle(["z", "a"], [column, np.arange(column.size)], "both")
+    for first in (0.0, -0.0):
+        assert_table_equals_oracle(["z"], [np.array([first, -first] * 3)], "both")
+
+
+@pytest.mark.parametrize("column", [
+    np.array([True, False]),
+    np.array([1.0, 2.0], dtype=np.float32),
+    np.array([1.0, None], dtype=object),
+    np.zeros((2, 1)),
+    np.array(1.0),
+], ids=["bool", "float32", "object", "2-D", "0-d"])
+def test_table_writer_refuses_other_arrays(tmp_path, column):
+    paths = tmp_path / "t.csv", tmp_path / "t.json"
+    for columns in ([np.arange(2), column], [column, np.arange(2)]):
+        with pytest.raises(TypeError, match="expected a 1-D float64 or int64 array"):
+            cli._write_table(*map(str, paths), ["x", "y"], columns)
+        assert not any(p.exists() for p in paths)
 
 
 def test_table_files_round_trip(tmp_path):
@@ -273,7 +313,7 @@ def test_config_grid_and_nulling_axis_are_the_same_floats():
     cfg = load_config(None, [f'spin.beta={{"start": {lo}, "stop": {hi}, "points": {n}}}'])
     ranges = {"a": (lo, hi), "c": (10e-9, 10e-9), "V": (0.0, math.inf)}
     found = find_nulling_parameters(math.inf, ranges, grid_points=n)
-    assert [r.a for r in found] == cfg.beta_grid
+    assert found.a.tolist() == cfg.beta_grid
     # with no config the beta grid is the README's {"start": 0.2, "stop": 3.0, "points": 401}
     readme = load_config(None, ['spin.beta={"start": 0.2, "stop": 3.0, "points": 401}'])
     assert load_config(None).beta_grid == readme.beta_grid == DEFAULT_BETA_GRID.tolist()

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -135,16 +136,33 @@ def test_nulling_voltage_absent_at_magic_ratio():
     assert v is None or v > 100.0
 
 
+NULLING_COLUMNS = ("a", "c", "V", "bracket", "admissible_dz")
+
+
+def nulling_columns(table):
+    """The table's five columns, each checked to hold ``len(table)`` float64 values."""
+    columns = [getattr(table, key) for key in NULLING_COLUMNS]
+    for column in columns:
+        assert column.dtype == np.float64 and column.shape == (len(table),)
+    return columns
+
+
+def nulling_rows(table):
+    """The table as (a, c, V, bracket, admissible_dz) tuples of Python floats."""
+    return list(zip(*(column.tolist() for column in nulling_columns(table))))
+
+
 def test_find_nulling_reference_window():
     ranges = {"a": (A, A), "c": (C, C), "V": (0.1, 1.0)}
     found = find_nulling_parameters(0.01, ranges)
     assert len(found) == 1
-    hit = found[0]
-    assert hit.V == pytest.approx(V_STAR, rel=1e-9)
-    assert hit.admissible_dz > 1e-9
+    (a, c, v, bracket, adm), = nulling_rows(found)
+    assert (a, c) == (A, C)
+    assert v == pytest.approx(V_STAR, rel=1e-9)
+    assert adm > 1e-9
     # residual bracket vanishes relative to its own scale
     scale = abs(dx2_bracket(STRIP, 1.0)) + abs(dx2_bracket(STRIP, 0.1))
-    assert abs(hit.bracket) < 1e-10 * scale
+    assert abs(bracket) < 1e-10 * scale
 
 
 def test_find_nulling_infinite_target_keeps_all_roots():
@@ -152,19 +170,23 @@ def test_find_nulling_infinite_target_keeps_all_roots():
     strict = find_nulling_parameters(1e-6, ranges, grid_points=11, min_dz=1e-9)
     loose = find_nulling_parameters(math.inf, ranges, grid_points=11, min_dz=1e-9)
     assert len(loose) >= len(strict)
-    assert all(r.admissible_dz == math.inf for r in loose)
+    assert all(adm == math.inf for *_, adm in nulling_rows(loose))
 
 
 def test_find_nulling_empty_off_root():
     ranges = {"a": (A, A), "c": (C, C), "V": (0.1, 0.2)}  # root is at ~0.747
-    assert find_nulling_parameters(0.01, ranges) == []
+    found = find_nulling_parameters(0.01, ranges)
+    assert len(found) == 0 and not found
+    assert [column.shape for column in nulling_columns(found)] == [(0,)] * 5
 
 
 def test_find_nulling_deterministic():
     ranges = {"a": (4e-9, 6e-9), "c": (9e-9, 11e-9), "V": (0.1, 1.0)}
     first = find_nulling_parameters(0.01, ranges, grid_points=5)
     second = find_nulling_parameters(0.01, ranges, grid_points=5)
-    assert first == second
+    assert len(first) > 0
+    for x, y in zip(nulling_columns(first), nulling_columns(second)):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 def _bracket_terms(a, c, v, q=0.063, l=0.085):
@@ -177,19 +199,20 @@ def test_find_nulling_rows_zero_the_bracket_in_ac_order():
     ranges = {"a": (3e-9, 8e-9), "c": (8e-9, 12e-9), "V": (0.1, 1.0)}
     found = find_nulling_parameters(0.01, ranges, grid_points=21)
     assert found
-    for r in found:
-        quad, lin = _bracket_terms(r.a, r.c, r.V)
+    rows = nulling_rows(found)
+    for a, c, v, bracket, _ in rows:
+        quad, lin = _bracket_terms(a, c, v)
         assert abs(quad - lin) <= 1e-12 * (abs(quad) + abs(lin))
-        assert abs(r.bracket) <= 1e-12 * (abs(quad) + abs(lin))
-        assert 0.1 <= r.V <= 1.0
-    keys = [(r.a, r.c) for r in found]
+        assert abs(bracket) <= 1e-12 * (abs(quad) + abs(lin))
+        assert 0.1 <= v <= 1.0
+    keys = [(a, c) for a, c, *_ in rows]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
 
 def test_find_nulling_omits_roots_outside_the_voltage_range():
     ranges = {"a": (3e-9, 8e-9), "c": (8e-9, 12e-9), "V": (0.70, 0.75)}
     found = find_nulling_parameters(math.inf, ranges, grid_points=11)
-    kept = {(r.a, r.c) for r in found}
+    kept = {(a, c) for a, c, *_ in nulling_rows(found)}
     outside = 0
     (a_lo, a_hi), (c_lo, c_hi) = ranges["a"], ranges["c"]
     for i in range(11):
@@ -220,7 +243,11 @@ def test_mesh_search_equals_per_point_loop(
 ):
     ranges = {"a": (a_lo, a_lo + a_width), "c": (c_lo, c_lo + c_width), "V": (v_lo, v_lo + v_width)}
     found = find_nulling_parameters(target, ranges, grid_points=points, min_dz=min_dz)
-    assert found == per_point_nulling(target, ranges, grid_points=points, min_dz=min_dz)
+    rows = per_point_nulling(target, ranges, grid_points=points, min_dz=min_dz)
+    assert len(found) == len(rows)
+    expected = np.array(rows, dtype=np.float64).reshape(len(rows), len(NULLING_COLUMNS))
+    for k, column in enumerate(nulling_columns(found)):  # bit for bit: -0.0 is not 0.0
+        assert np.array_equal(column.view(np.uint64), expected[:, k].view(np.uint64))
 
 
 def test_find_nulling_requires_ranges():
