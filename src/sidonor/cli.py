@@ -47,7 +47,6 @@ from .spectrum import (
     ConvergenceError,
     adiabatic_transfer_trace,
     find_anticrossings,
-    refine_beta_grid,
     sweep_spectrum,
 )
 
@@ -202,12 +201,19 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
         raise ConfigError("material", "recomputed strip coefficients not finite and positive")
     # admissible_dV depends on V alone, nulling_V on the mode alone
     dvs = [admissible_voltage_error(gate, v, cfg.line_width, mat=cfg.material).dV for v in cfg.voltages]
+    if not all(0.0 <= dv < math.inf for dv in dvs):
+        raise ConfigError("material", "the admissible voltage error is not finite and non-negative")
     rows = []
     for mode in ("published", "recomputed"):
         nulling_v = nulling_voltage(gate, mode, cfg.material)
         for v, dv in zip(cfg.voltages, dvs):
             rep = _placement_terms(gate, v, mode, cfg)
             dz_t = dz_for_target(gate, v, cfg.target, mode, cfg.material) if v > 0 else None
+            if dz_t is not None and not abs(dz_t) < math.inf:
+                # the published rows come first: a fault only in the recomputed mode is the material's
+                if mode == "recomputed":
+                    raise ConfigError("material", "the recomputed strip coefficients give no finite dz_for_target")
+                raise ConfigError("voltage", "the voltage gives no finite dz_for_target")
             in_band = dz_t is not None and 2e-9 <= dz_t <= 3e-9
             rows.append([mode, v, rep.dz_term, rep.dx2_term, rep.dA_over_A, dz_t, int(in_band), dv, nulling_v])
     _emit(
@@ -231,8 +237,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     # second pass: resolve the vicinity of detected (anti)crossings 10x finer
     centers = [r.beta_star for r in find_anticrossings(sweep)]
     if centers:
-        refined = refine_beta_grid(sweep.beta_grid, centers)
-        sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refined, cfg.mu)
+        sweep = sweep.refine(centers)
     # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
     n_beta, n_levels = sweep.beta_grid.size, len(sweep.tracks)
     labels, weights = zip(*(t.dominants for t in sweep.tracks))

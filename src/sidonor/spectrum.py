@@ -21,16 +21,18 @@ connects eigenvectors between adjacent grid points by maximal overlap
 
 Every diagonalization goes through :func:`eigensolve_block`, which runs
 LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
-makes one call per block for the entire beta grid, and the local refinement
-and bisection steps call it with a one-point stack.
+makes one call per block for the entire beta grid, each bisection step is one
+call over the midpoints of every exchanging track of a block, and
+:meth:`SpectrumSweep.refine` solves only the points it adds to the grid.  Only
+the midpoint refinement of an ambiguous tracking step solves one point.
 
 Tracking is whole-grid too: one stacked product gives the |overlap| matrices
 of every pair of adjacent grid points of a block.  Where each matrix's row
 argmax is a permutation that leads every runner-up by ``OVERLAP_AMBIGUITY``,
-that permutation is exactly what greedy matching would return, and the track
-order is composed from it without a Python-level match.  Every other step
-falls back to the greedy :func:`_match` with midpoint refinement, which logs a
-warning when it reaches the refinement depth cap still ambiguous.
+that permutation is exactly what greedy matching would return, and each run
+of such steps is composed into track order by one prefix scan.  Every other
+step falls back to the greedy :func:`_match` with midpoint refinement, which
+logs a warning when it reaches the refinement depth cap still ambiguous.
 """
 
 from __future__ import annotations
@@ -140,10 +142,45 @@ class SpectrumSweep:
     beta_grid: np.ndarray
     tracks: list[Track]        # block listing order, ascending within block
     system: _BlockSystem       # the Hamiltonian the tracks were solved with
+    # (n_beta, n_tracks) int8: the eigensolver's column of each track at each
+    # point, within its block; None when the sweep was not solved here
+    raw_columns: np.ndarray | None = None
 
     def energy_matrix(self) -> np.ndarray:
         """(n_beta, 16) matrix of all tracks in listing order."""
         return np.column_stack([t.energies for t in self.tracks])
+
+    def refine(self, centers) -> SpectrumSweep:
+        """This sweep on ``refine_beta_grid(beta_grid, centers)``, solving only the new points.
+
+        The base points' eigenpairs are taken back from the tracks, in the
+        eigensolver's column order, through ``raw_columns``; one stacked call
+        per block solves the rest.  A stacked call gives the same bits as one
+        call per matrix, so the tracks equal those of :func:`sweep_spectrum`
+        on the refined grid bit for bit.
+        """
+        if self.raw_columns is None:
+            raise ValueError("the sweep has no raw column order to refine from")
+        betas = refine_beta_grid(self.beta_grid, centers)
+        if betas.size == self.beta_grid.size:  # every base point is kept: nothing new
+            return self
+        base = np.searchsorted(betas, self.beta_grid)[:, None]
+        new = np.ones(betas.size, dtype=bool)
+        new[base[:, 0]] = False
+        tracks, columns, start = [], [], 0
+        for key in BLOCK_ORDER:
+            block = self.tracks[start:start + len(BLOCKS[key])]
+            cols = self.raw_columns[:, start:start + len(block)]
+            start += len(block)
+            energies = np.empty((betas.size, len(block)))
+            vectors = np.empty((betas.size, len(block), len(block)))
+            energies[new], vectors[new] = eigensolve_block(self.system.stack(key, betas[new]))
+            energies[base, cols] = np.column_stack([t.energies for t in block])
+            vectors[base, :, cols] = np.stack([t.vectors for t in block], axis=1)
+            block_tracks, perm = _block_tracks(self.system, key, betas, energies, vectors)
+            tracks += block_tracks
+            columns.append(perm)
+        return SpectrumSweep(betas, tracks, self.system, np.hstack(columns).astype(np.int8))
 
 
 @dataclass(frozen=True)
@@ -252,6 +289,73 @@ def _match(system: _BlockSystem, key: int, b0, v0, b1, v1, depth: int = 0) -> li
     return p_right
 
 
+def _compose_runs(start, steps) -> np.ndarray:
+    """Rows r[k] = steps[k][r[k - 1]] for every k, with r[-1] = ``start``.
+
+    One inclusive prefix scan by pointer doubling: about log2(len(steps))
+    ``take_along_axis`` passes over the (k, dim) stack of index maps, giving
+    the same integers as composing one step at a time.
+    """
+    x = np.concatenate([np.asarray(start)[None], steps])
+    d = 1
+    while d < len(x):
+        x[d:] = np.take_along_axis(x[d:], x[:-d], axis=-1)
+        d *= 2
+    return x[1:]
+
+
+def _block_tracks(system: _BlockSystem, key: int, betas, energies, vectors):
+    """The tracks of block ``key`` from its eigenpairs at every grid point.
+
+    ``energies`` (n_beta, dim) and ``vectors`` (n_beta, dim, dim) are in the
+    eigensolver's column order.  Returns (tracks, perm), where perm[i, t] is
+    the column at grid point i that continues track t.
+    """
+    n, dim = energies.shape
+    perm = np.tile(np.arange(dim), (n, 1))
+    if dim > 1:  # a one-level block is one track as it stands
+        # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
+        overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
+        np.abs(overlap, out=overlap)
+        best = np.argmax(overlap, axis=-1)
+        top = overlap.max(axis=-1)
+        # overwrite each row's maximum, so that the runner-up is what remains
+        np.put_along_axis(overlap, best[..., None], -1.0, axis=-1)
+        margin = top - overlap.max(axis=-1)
+        del overlap  # freed before the tracks are gathered, for peak memory
+        # Where each row's argmax is a different column and every row
+        # leads its runner-up by OVERLAP_AMBIGUITY, _greedy_match returns
+        # exactly these argmaxes: its first pick, the global maximum, is
+        # its row's argmax, and removing that row and column leaves every
+        # other row's argmax available; each greedy margin is over a
+        # subset of its row, so it is no smaller and nothing is refined.
+        fast = np.all(np.sort(best, axis=-1) == np.arange(dim), axis=-1)
+        fast &= np.all(margin >= OVERLAP_AMBIGUITY, axis=-1)
+        # overlaps are row-permutation invariant, so a run of fast steps
+        # composes the raw argmaxes; greedy matching is not equivariant
+        # under exact ties, so every other step matches the tracked columns
+        first = 1  # first grid point of the current run of fast steps
+        for i in (np.flatnonzero(~fast) + 1).tolist() + [n]:
+            if i > first:
+                perm[first:i] = _compose_runs(perm[first - 1], best[first - 1:i - 1])
+            if i < n:
+                perm[i] = _match(
+                    system, key, betas[i - 1], vectors[i - 1][:, perm[i - 1]], betas[i], vectors[i]
+                )
+            first = i + 1
+    rows = np.arange(n)
+    tracks = [
+        Track(
+            block=key,
+            basis=BLOCKS[key],
+            energies=energies[rows, perm[:, t]],
+            vectors=vectors[rows, :, perm[:, t]],
+        )
+        for t in range(dim)
+    ]
+    return tracks, perm
+
+
 def sweep_spectrum(
     alpha_a: float, alpha_b: float, beta_grid=None, mu: float | None = None
 ) -> SpectrumSweep:
@@ -262,14 +366,16 @@ def sweep_spectrum(
     |V[:-1]^T V[1:]| of the block's eigenvector columns: where the row
     argmaxes of a step form a permutation and every row leads its runner-up
     by at least ``OVERLAP_AMBIGUITY``, that permutation is the step's
-    matching; any other step runs the exact greedy :func:`_match`, midpoint
-    refinement included.  The tracks are bit-identical to greedy matching at
-    every grid point.
+    matching, and each run of such steps is composed by one prefix scan; any
+    other step runs the exact greedy :func:`_match`, midpoint refinement
+    included.  The tracks are bit-identical to greedy matching at every grid
+    point.
 
     ``alpha_a`` and ``alpha_b`` are the hyperfine couplings in units of J.
     ``mu=None`` ties mu to beta through the physical ratio g_N mu_N / (2 mu_B)
     (a single swept field B); a number holds mu fixed.  ``beta_grid=None`` is
-    ``DEFAULT_BETA_GRID``.
+    ``DEFAULT_BETA_GRID``.  :meth:`SpectrumSweep.refine` adds points to the
+    grid without solving the existing ones again.
     """
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
@@ -278,120 +384,89 @@ def sweep_spectrum(
         raise ValueError("beta_grid must be strictly ascending")
 
     system = _BlockSystem(alpha_a, alpha_b, mu)
-    rows = np.arange(betas.size)
     tracks: list[Track] = []
+    columns = []
     for key in BLOCK_ORDER:
         energies, vectors = eigensolve_block(system.stack(key, betas))
-        dim = energies.shape[1]
-        # perm[i, t]: the raw column at grid point i that continues track t
-        perm = np.tile(np.arange(dim), (betas.size, 1))
-        if dim > 1:  # a one-level block is one track as it stands
-            # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
-            overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
-            np.abs(overlap, out=overlap)
-            best = np.argmax(overlap, axis=-1)
-            top = overlap.max(axis=-1)
-            # overwrite each row's maximum, so that the runner-up is what remains
-            np.put_along_axis(overlap, best[..., None], -1.0, axis=-1)
-            margin = top - overlap.max(axis=-1)
-            del overlap  # freed before the tracks are gathered, for peak memory
-            # Where each row's argmax is a different column and every row
-            # leads its runner-up by OVERLAP_AMBIGUITY, _greedy_match returns
-            # exactly these argmaxes: its first pick, the global maximum, is
-            # its row's argmax, and removing that row and column leaves every
-            # other row's argmax available; each greedy margin is over a
-            # subset of its row, so it is no smaller and nothing is refined.
-            fast = np.all(np.sort(best, axis=-1) == np.arange(dim), axis=-1)
-            fast &= np.all(margin >= OVERLAP_AMBIGUITY, axis=-1)
-            cols = list(range(dim))
-            for i, (ok, am) in enumerate(zip(fast.tolist(), best.tolist()), start=1):
-                if ok:
-                    # overlaps are row-permutation invariant: compose with the raw argmax
-                    cols = [am[c] for c in cols]
-                else:
-                    cols = _match(
-                        system, key, betas[i - 1], vectors[i - 1][:, cols], betas[i], vectors[i]
-                    )
-                perm[i] = cols
-        for t in range(dim):
-            tracks.append(
-                Track(
-                    block=key,
-                    basis=BLOCKS[key],
-                    energies=energies[rows, perm[:, t]],
-                    vectors=vectors[rows, :, perm[:, t]],
-                )
-            )
-    return SpectrumSweep(beta_grid=betas, tracks=tracks, system=system)
+        block_tracks, perm = _block_tracks(system, key, betas, energies, vectors)
+        tracks += block_tracks
+        columns.append(perm)
+    return SpectrumSweep(betas, tracks, system, np.hstack(columns).astype(np.int8))
 
 
-def _locate_track_column(v_ref: np.ndarray, v: np.ndarray) -> int:
-    return int(np.argmax(np.abs(v_ref @ v)))
+def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[AnticrossingReport]:
+    """Anticrossing reports of the exchanging tracks of one block, bisected in lockstep.
 
+    A track exchanges when its dominant label at the high-beta end differs
+    from the one at the low-beta end.  Its ``beta_star`` is the half-transfer
+    point of the entering character: the highest grid step where f turns
+    from negative to non-negative, bisected 16 times.  If the entering weight
+    never reaches 1/2 (strong mixing), f is the dominance swap between the
+    two exchanging characters instead.  Every bisection step solves the
+    midpoints of all the block's reports in one stacked call, and one more
+    call solves their ``beta_star``; each report's midpoints depend only on
+    its own values, so each report is what bisecting it alone gives.
+    """
+    system, betas = sweep.system, sweep.beta_grid
+    key, basis = tracks[0].block, tracks[0].basis
+    found = []  # (track, j_hi, j_lo, use_half, i0) of each bracketed exchange
+    for track in tracks:
+        enter_label, exit_label = track.dominant(-1)[0], track.dominant(0)[0]
+        if enter_label == exit_label:
+            continue
+        wts = track.vectors**2
+        j_hi, j_lo = basis.index(enter_label), basis.index(exit_label)
+        whi = wts[:, j_hi]
+        use_half = whi[-1] >= 0.5
+        f = whi - 0.5 if use_half else whi - wts[:, j_lo]
+        ups = np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))
+        if ups.size:
+            found.append((track, j_hi, j_lo, use_half, int(ups[-1])))
+    if not found:
+        return []
 
-def _exchange_report(sweep: SpectrumSweep, track: Track) -> AnticrossingReport | None:
-    system = sweep.system
-    betas = sweep.beta_grid
-    wts = track.vectors**2
-    enter_label, enter_weight = track.dominant(-1)
-    exit_label, exit_weight = track.dominant(0)
-    if enter_label == exit_label:
-        return None
-
-    j_hi = track.basis.index(enter_label)
-    j_lo = track.basis.index(exit_label)
-    whi = wts[:, j_hi]
-    # half-transfer point of the entering character: the highest step where
-    # f turns from negative to non-negative; if the entering weight never reaches 1/2 (strong mixing), fall back to
-    # the dominance-swap point between the two exchanging characters
-    f = whi - 0.5 if whi[-1] >= 0.5 else whi - wts[:, j_lo]
-    ups = np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))
-    if ups.size == 0:
-        return None
-    i0 = int(ups[-1])
-    i1 = i0 + 1
-
-    v_ref = track.vectors[i1]
-    lo, hi = betas[i0], betas[i1]
-    use_half = whi[-1] >= 0.5
+    exchanging, j_hi, j_lo, use_half, i0 = zip(*found)
+    i0 = np.array(i0)
+    # each track's vector at the top of its bracket identifies its column at a midpoint
+    v_ref = np.stack([t.vectors[i + 1] for t, i in zip(exchanging, i0.tolist())])[:, None, :]
+    lo, hi = betas[i0], betas[i0 + 1]
+    k = np.arange(len(found))
     for _ in range(16):
         mid = 0.5 * (lo + hi)
-        w, v = system.solve(track.block, mid)
-        col = _locate_track_column(v_ref, v)
-        wcol = v[:, col] ** 2
-        val = wcol[j_hi] - (0.5 if use_half else wcol[j_lo])
-        if val >= 0.0:
-            hi = mid
-        else:
-            lo = mid
+        _, v = eigensolve_block(system.stack(key, mid))
+        col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1)
+        wcol = v[k, :, col] ** 2
+        val = wcol[k, j_hi] - np.where(use_half, 0.5, wcol[k, j_lo])
+        up = val >= 0.0
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     beta_star = 0.5 * (lo + hi)
 
-    w, v = system.solve(track.block, beta_star)
-    col = _locate_track_column(v_ref, v)
-    dist = np.abs(w - w[col])
-    dist[col] = np.inf
-    partner_col = int(np.argmin(dist))
-    gap = dist[partner_col]
-    partner = track.basis[int(np.argmax(np.abs(v[:, partner_col])))]
-
-    scale = max(1.0, float(np.max(np.abs(w))))
-    kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
-
-    eq19 = None
-    if system.alpha_a == system.alpha_b and beta_star > 1.1:
-        eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star)
-
-    return AnticrossingReport(
-        pair=(enter_label, exit_label),
-        beta_star=float(beta_star),
-        min_gap=float(gap),
-        eq19_gap=eq19,
-        block=track.block,
-        kind=kind,
-        partner=partner,
-        enter_weight=enter_weight,
-        exit_weight=exit_weight,
-    )
+    w, v = eigensolve_block(system.stack(key, beta_star))
+    col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1).tolist()
+    reports = []
+    for r, track in enumerate(exchanging):
+        dist = np.abs(w[r] - w[r, col[r]])
+        dist[col[r]] = np.inf
+        partner_col = int(np.argmin(dist))
+        gap = dist[partner_col]
+        scale = max(1.0, float(np.max(np.abs(w[r]))))
+        eq19 = None
+        if system.alpha_a == system.alpha_b and beta_star[r] > 1.1:
+            eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star[r])
+        reports.append(
+            AnticrossingReport(
+                pair=(basis[j_hi[r]], basis[j_lo[r]]),
+                beta_star=float(beta_star[r]),
+                min_gap=float(gap),
+                eq19_gap=eq19,
+                block=key,
+                kind="anticrossing" if gap > CROSSING_TOL * scale else "crossing",
+                partner=basis[int(np.argmax(np.abs(v[r, :, partner_col])))],
+                enter_weight=track.dominant(-1)[1],
+                exit_weight=track.dominant(0)[1],
+            )
+        )
+    return reports
 
 
 def _crossing_reports(sweep: SpectrumSweep) -> list[AnticrossingReport]:
@@ -443,13 +518,13 @@ def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     classified as crossings.  Deterministic ordering by (beta_star, block,
     pair).
     """
-    reports: list[AnticrossingReport] = []
+    blocks: dict[int, list[Track]] = {}
     for track in sweep.tracks:
-        if len(track.basis) < 2:
-            continue
-        rep = _exchange_report(sweep, track)
-        if rep is not None:
-            reports.append(rep)
+        if len(track.basis) > 1:
+            blocks.setdefault(track.block, []).append(track)
+    reports: list[AnticrossingReport] = []
+    for tracks in blocks.values():
+        reports += _exchange_reports(sweep, tracks)
     reports.extend(_crossing_reports(sweep))
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports

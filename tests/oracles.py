@@ -5,7 +5,8 @@ Richardson-extrapolated central differences, eigenvalues from inertia
 counting (LDL^T pivots of A - x I) plus bisection on the characteristic
 polynomial's sign structure.  The exceptions are the per-point loops that
 whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
-tracking in ``sweep_spectrum`` and :func:`per_point_nulling` for the mesh
+tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
+bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
 search in ``find_nulling_parameters``, and :func:`write_table` for the
 columnar table writer in ``cli``, which must write the same bytes.
 """
@@ -88,6 +89,91 @@ def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
         for t in range(len(BLOCKS[key])):
             out.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
     return out
+
+
+def _exchange_report(sweep, track):
+    """One track's exchange report, bisected alone with one-point solves."""
+    from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eq19_gap_dimensionless
+
+    system = sweep.system
+    betas = sweep.beta_grid
+    wts = track.vectors**2
+    enter_label, enter_weight = track.dominant(-1)
+    exit_label, exit_weight = track.dominant(0)
+    if enter_label == exit_label:
+        return None
+
+    j_hi = track.basis.index(enter_label)
+    j_lo = track.basis.index(exit_label)
+    whi = wts[:, j_hi]
+    f = whi - 0.5 if whi[-1] >= 0.5 else whi - wts[:, j_lo]
+    ups = np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))
+    if ups.size == 0:
+        return None
+    i0 = int(ups[-1])
+    i1 = i0 + 1
+
+    v_ref = track.vectors[i1]
+    lo, hi = betas[i0], betas[i1]
+    use_half = whi[-1] >= 0.5
+    for _ in range(16):
+        mid = 0.5 * (lo + hi)
+        w, v = system.solve(track.block, mid)
+        col = int(np.argmax(np.abs(v_ref @ v)))
+        wcol = v[:, col] ** 2
+        val = wcol[j_hi] - (0.5 if use_half else wcol[j_lo])
+        if val >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    beta_star = 0.5 * (lo + hi)
+
+    w, v = system.solve(track.block, beta_star)
+    col = int(np.argmax(np.abs(v_ref @ v)))
+    dist = np.abs(w - w[col])
+    dist[col] = np.inf
+    partner_col = int(np.argmin(dist))
+    gap = dist[partner_col]
+    partner = track.basis[int(np.argmax(np.abs(v[:, partner_col])))]
+
+    scale = max(1.0, float(np.max(np.abs(w))))
+    kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
+
+    eq19 = None
+    if system.alpha_a == system.alpha_b and beta_star > 1.1:
+        eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star)
+
+    return AnticrossingReport(
+        pair=(enter_label, exit_label),
+        beta_star=float(beta_star),
+        min_gap=float(gap),
+        eq19_gap=eq19,
+        block=track.block,
+        kind=kind,
+        partner=partner,
+        enter_weight=enter_weight,
+        exit_weight=exit_weight,
+    )
+
+
+def per_report_bisection(sweep):
+    """Reference ``find_anticrossings``: each exchanging track bisected on its own.
+
+    Every bisection step and the final ``beta_star`` solve is a one-point
+    eigensolve of that track's block.
+    """
+    from sidonor.spectrum import _crossing_reports
+
+    reports = []
+    for track in sweep.tracks:
+        if len(track.basis) < 2:
+            continue
+        rep = _exchange_report(sweep, track)
+        if rep is not None:
+            reports.append(rep)
+    reports.extend(_crossing_reports(sweep))
+    reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
+    return reports
 
 
 def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):

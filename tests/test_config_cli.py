@@ -37,6 +37,32 @@ STRIP_CONFIG = {
 }
 
 
+# the README example config
+README_CONFIG = {
+    "material": {
+        "a_star": "2 nm",
+        "eps_r": 11.9,
+        "psi0_sq": "0.43e24 cm^-3",
+        "Delta_E": "0.04 eV",
+        "delta_E": "-0.023 eV",
+    },
+    "gate": {"kind": "strip", "a": "5 nm", "c": "10 nm", "D": "500 nm"},
+    "voltage": {"start": "0 V", "stop": "1 V", "points": 11},
+    "placement": {"dx": "1 nm", "dz": "1 nm"},
+    "error_budget": {
+        "target": 0.01,
+        "line_width": "10 kHz",
+        "ranges": {"a": ["3 nm", "8 nm"], "c": ["8 nm", "12 nm"], "V": ["0.1 V", "1 V"]},
+    },
+    "spin": {
+        "alpha_a": 0.3,
+        "alpha_b": 0.4,
+        "beta": {"start": 0.2, "stop": 3.0, "points": 401},
+        "mu": "slaved",
+    },
+}
+
+
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -437,6 +463,26 @@ def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
         argv += ["--set", assignment]
     assert main(argv) == 2
     assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "override, field",
+    [
+        ('material.Delta_E="1e-300 J"', "material"),  # admissible_dV is inf
+        ('material.Delta_E="1e300 J"', "material"),  # admissible_dV is negative
+        ('material.Delta_E="1e295 J"', "material"),  # recomputed dz_for_target is inf
+        ('voltage.values=["1e-300 V","0.5 V"]', "voltage"),  # published dz_for_target is inf
+    ],
+    ids=["inf-admissible_dV", "negative-admissible_dV", "inf-recomputed-dz", "inf-published-dz"],
+)
+def test_error_budget_cell_that_is_no_finite_bound_exits_2(tmp_path, capsys, override, field):
+    cfg = write_config(tmp_path, README_CONFIG)
+    out = tmp_path / "out"
+    assert main(["error-budget", "--config", cfg, "--out-dir", str(out), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,13 +1,14 @@
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_point_tracks
+from oracles import per_point_tracks, per_report_bisection
 
 from sidonor import spectrum
-from sidonor.constants import DEFAULT_CONSTANTS
+from sidonor.constants import DEFAULT_CONSTANTS, linear_grid
 from sidonor.spectrum import (
     SpectrumSweep,
     Track,
@@ -16,10 +17,12 @@ from sidonor.spectrum import (
     eq19_gap,
     eq19_gap_dimensionless,
     find_anticrossings,
+    refine_beta_grid,
     spin_transfer_reports,
     sweep_spectrum,
 )
 from sidonor.spin_hamiltonian import (
+    BLOCK_ORDER,
     BLOCKS,
     MU_OVER_BETA,
     SpinParams,
@@ -130,6 +133,28 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
     assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), None)
 
 
+def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monkeypatch):
+    # block -1 crosses in a run of fast steps, then takes one greedy step
+    # that must start from the composed track order
+    alphas, mu = (0.0054950483080437275, 0.0004665505263940834), 0.0005825944132083014
+    grid = np.linspace(0.812464227037491, 1.870758893347987, 52)
+    calls = []
+    match = spectrum._match
+
+    def counted(system, key, b0, v0, b1, v1, depth=0):
+        if depth == 0:
+            calls.append((key, b0))
+        return match(system, key, b0, v0, b1, v1, depth)
+
+    monkeypatch.setattr(spectrum, "_match", counted)
+    assert_same_tracks(alphas, grid, mu)
+    calls.clear()  # the per-point loop matches every step
+    sweep = sweep_spectrum(*alphas, grid, mu)
+    columns = sweep.raw_columns[:, [t.block == -1 for t in sweep.tracks]]
+    steps = [np.flatnonzero(grid == b0)[0] for key, b0 in calls if key == -1]
+    assert any(np.any(columns[i] != np.arange(4)) for i in steps)
+
+
 @settings(max_examples=30)
 @given(
     alpha_a=st.floats(0.0, 1.0),
@@ -142,6 +167,28 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
 def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu):
     grid = np.linspace(start, start + width, points)
     assert_same_tracks((alpha_a, alpha_b), grid, mu)
+
+
+@settings(max_examples=60)
+@given(
+    dim=st.integers(1, 6),
+    steps=st.one_of(
+        st.integers(1, 300),
+        st.sampled_from([2**k + d for k in range(1, 9) for d in (-1, 0, 1)]),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compose_runs_equals_step_by_step(dim, steps, seed):
+    rng = np.random.default_rng(seed)
+    maps = np.argsort(rng.random((steps, dim)), axis=1)
+    start = rng.permutation(dim)
+    if dim > 1 and np.array_equal(start, np.arange(dim)):
+        start = start[::-1].copy()  # a non-identity starting order
+    cols, expected = start.tolist(), []
+    for am in maps.tolist():
+        cols = [am[c] for c in cols]
+        expected.append(cols)
+    assert spectrum._compose_runs(start, maps).tolist() == expected
 
 
 def test_dominant_labels_are_the_per_point_argmax():
@@ -264,6 +311,127 @@ def test_reports_sorted_deterministically(reference_sweep):
     reports = find_anticrossings(reference_sweep)
     keys = [(r.beta_star, r.block, r.pair) for r in reports]
     assert keys == sorted(keys)
+
+
+# --- lockstep bisection against the per-report loop ------------------------
+
+FINE_GRID = np.array(linear_grid(0.2, 3.0, 2001))  # the anticross-fine grid
+
+
+def assert_same_reports(sweep):
+    reports = find_anticrossings(sweep)
+    reference = per_report_bisection(sweep)
+    assert reports == reference
+    assert repr(reports) == repr(reference)  # also tells -0.0 and scalar types apart
+    return reports
+
+
+@pytest.mark.parametrize(
+    "alphas, grid, mu",
+    [(REFERENCE, None, None), ((0.0, 0.0), None, 0.0), ((0.06, 0.06), FINE_GRID, None)],
+    ids=["readme", "bare", "equal-couplings-fine"],
+)
+def test_lockstep_bisection_equals_per_report_loop(alphas, grid, mu):
+    reports = assert_same_reports(sweep_spectrum(*alphas, grid, mu))
+    if alphas != (0.0, 0.0):
+        assert any(r.partner is not None for r in reports)  # bisected exchanges
+
+
+@settings(max_examples=25)
+@given(
+    alpha_a=st.floats(0.0, 1.0),
+    alpha_b=st.floats(0.0, 1.0),
+    start=st.floats(0.0, 2.5),
+    width=st.floats(0.1, 3.0),
+    points=st.integers(2, 120),
+    mu=st.one_of(st.none(), st.floats(-0.01, 0.01)),
+)
+def test_lockstep_bisection_property_equals_per_report_loop(alpha_a, alpha_b, start, width, points, mu):
+    assert_same_reports(sweep_spectrum(alpha_a, alpha_b, np.linspace(start, start + width, points), mu))
+
+
+@pytest.mark.parametrize(
+    "alphas, grid", [(REFERENCE, None), ((0.06, 0.06), FINE_GRID)], ids=["readme", "equal-couplings-fine"]
+)
+def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alphas, grid):
+    sweep = sweep_spectrum(*alphas, grid)
+    keys = []
+    stack = sweep.system.stack
+    monkeypatch.setattr(sweep.system, "stack", lambda key, betas: keys.append(key) or stack(key, betas))
+    solves = []
+    solve = spectrum.eigensolve_block
+    monkeypatch.setattr(spectrum, "eigensolve_block", lambda h: solves.append(len(h)) or solve(h))
+    reports = find_anticrossings(sweep)
+    exchanges = Counter(r.block for r in reports if r.partner is not None)
+    assert exchanges
+    assert Counter(keys) == {key: 17 for key in exchanges}
+    # one midpoint per report of the block in every call
+    assert sorted(solves) == sorted(n for key, n in exchanges.items() for _ in range(17))
+
+
+# --- incremental refined sweep ----------------------------------------------
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_sweep(sweep, reference):
+    assert np.array_equal(bits(sweep.beta_grid), bits(reference.beta_grid))
+    assert np.array_equal(sweep.raw_columns, reference.raw_columns)
+    assert len(sweep.tracks) == len(reference.tracks)
+    for track, ref in zip(sweep.tracks, reference.tracks):
+        assert (track.block, track.basis) == (ref.block, ref.basis)
+        assert np.array_equal(bits(track.energies), bits(ref.energies))
+        assert np.array_equal(bits(track.vectors), bits(ref.vectors))
+        assert track.dominants == ref.dominants
+
+
+@pytest.mark.parametrize(
+    "alphas, mu", [(REFERENCE, None), ((0.06, 0.06), None), ((0.0, 0.0), 0.0)],
+    ids=["readme", "equal-couplings", "bare"],
+)
+def test_refine_equals_sweep_of_refined_grid(alphas, mu):
+    sweep = sweep_spectrum(*alphas, mu=mu)
+    centers = [r.beta_star for r in find_anticrossings(sweep)]
+    assert centers
+    refined = sweep.refine(centers)
+    assert refined.beta_grid.size > sweep.beta_grid.size
+    # raw_columns are compared too, so a refined sweep can be refined again
+    assert_same_sweep(refined, sweep_spectrum(*alphas, refine_beta_grid(sweep.beta_grid, centers), mu))
+    if alphas == (0.0, 0.0):  # crossing tracks: the column order is no identity to recover
+        assert np.any(sweep.raw_columns != sweep.raw_columns[0])
+
+
+def test_refine_solves_only_the_new_points(monkeypatch):
+    sweep = sweep_spectrum(*REFERENCE)
+    centers = [r.beta_star for r in find_anticrossings(sweep)]
+    grid = refine_beta_grid(sweep.beta_grid, centers)
+    new = grid[~np.isin(grid, sweep.beta_grid)]
+    calls = []
+    stack = sweep.system.stack
+    monkeypatch.setattr(
+        sweep.system, "stack", lambda key, betas: calls.append((key, np.asarray(betas))) or stack(key, betas)
+    )
+    solves = []
+    solve = spectrum.eigensolve_block
+    monkeypatch.setattr(spectrum, "eigensolve_block", lambda h: solves.append(len(h)) or solve(h))
+    sweep.refine(centers)
+    assert [key for key, _ in calls] == list(BLOCK_ORDER)
+    for _, betas in calls:
+        assert np.array_equal(bits(betas), bits(new))
+    assert solves == [new.size] * len(BLOCK_ORDER)
+
+
+def test_refine_without_new_points_is_the_sweep():
+    sweep = sweep_spectrum(*REFERENCE)
+    assert sweep.refine([]) is sweep
+    assert sweep.refine([10.0]) is sweep  # outside the grid
+
+
+def test_refine_needs_the_raw_column_order(reference_sweep):
+    bare = SpectrumSweep(reference_sweep.beta_grid, reference_sweep.tracks, reference_sweep.system)
+    with pytest.raises(ValueError):
+        bare.refine([1.0])
 
 
 # --- adiabatic transfer trace -----------------------------------------------
