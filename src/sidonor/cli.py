@@ -167,23 +167,15 @@ def cmd_hic(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _placement_terms(gate, v: float, mode: str, cfg: RunConfig):
-    """The placement error terms at ``v``; a ConfigError names what overflows them.
-
-    The published rows come first.  When they passed at the same offsets, an
-    overflow in the recomputed mode comes from the recomputed coefficients.
-    """
-    try:
-        rep = relative_hic_error(gate, v, cfg.placement, mode, cfg.material)
-    except OverflowError:  # dx**2 beyond the float range
-        raise ConfigError("placement.dx", "the offset overflows the error terms") from None
-    for name, term in (("placement.dz", rep.dz_term), ("placement.dx", rep.dx2_term),
-                       ("placement", rep.dA_over_A)):
-        if not abs(term) < math.inf:
-            if mode == "recomputed":
-                raise ConfigError("material", "the recomputed strip coefficients overflow the error terms")
-            raise ConfigError(name, "the offset overflows the error terms")
-    return rep
+_OFFSET_FAULT = "the offset overflows the error terms"
+# (field, message) of a non-finite dz_term, dx2_term, dA_over_A or dz_for_target cell, by mode:
+# the published rows come first, so a fault only the recomputed mode shows is the material's
+_CELL_FAULTS = {
+    "published": [("placement.dz", _OFFSET_FAULT), ("placement.dx", _OFFSET_FAULT),
+                  ("placement", _OFFSET_FAULT), ("voltage", "the voltage gives no finite dz_for_target")],
+    "recomputed": [("material", "the recomputed strip coefficients overflow the error terms")] * 3
+                  + [("material", "the recomputed strip coefficients give no finite dz_for_target")],
+}
 
 
 def cmd_error_budget(cfg: RunConfig, args) -> int:
@@ -199,28 +191,32 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
     q, l = strip_coefficients(gate, "recomputed", cfg.material)
     if not (0.0 < q < math.inf and 0.0 < l < math.inf):
         raise ConfigError("material", "recomputed strip coefficients not finite and positive")
+    V = np.array(cfg.voltages)
     # admissible_dV depends on V alone, nulling_V on the mode alone
-    dvs = [admissible_voltage_error(gate, v, cfg.line_width, mat=cfg.material).dV for v in cfg.voltages]
-    if not all(0.0 <= dv < math.inf for dv in dvs):
+    dv = admissible_voltage_error(gate, V, cfg.line_width, mat=cfg.material).dV
+    if not np.all((dv >= 0.0) & (dv < math.inf)):
         raise ConfigError("material", "the admissible voltage error is not finite and non-negative")
-    rows = []
-    for mode in ("published", "recomputed"):
-        nulling_v = nulling_voltage(gate, mode, cfg.material)
-        for v, dv in zip(cfg.voltages, dvs):
-            rep = _placement_terms(gate, v, mode, cfg)
-            dz_t = dz_for_target(gate, v, cfg.target, mode, cfg.material) if v > 0 else None
-            if dz_t is not None and not abs(dz_t) < math.inf:
-                # the published rows come first: a fault only in the recomputed mode is the material's
-                if mode == "recomputed":
-                    raise ConfigError("material", "the recomputed strip coefficients give no finite dz_for_target")
-                raise ConfigError("voltage", "the voltage gives no finite dz_for_target")
-            in_band = dz_t is not None and 2e-9 <= dz_t <= 3e-9
-            rows.append([mode, v, rep.dz_term, rep.dx2_term, rep.dA_over_A, dz_t, int(in_band), dv, nulling_v])
+    try:  # the error terms square dx as a Python float, whatever the voltage
+        reps = [relative_hic_error(gate, V, cfg.placement, mode, cfg.material) for mode in _CELL_FAULTS]
+    except OverflowError:
+        raise ConfigError("placement.dx", _OFFSET_FAULT) from None
+    tables = []  # the published and the recomputed rows, as columns
+    for rep, (mode, faults) in zip(reps, _CELL_FAULTS.items()):
+        dz = dz_for_target(gate, V, cfg.target, mode, cfg.material)
+        cells = np.column_stack([rep.dz_term, rep.dx2_term, rep.dA_over_A, np.where(V > 0, dz, 0.0)])
+        bad = np.argwhere(~np.isfinite(cells))  # (row, column) pairs, the first failing row first
+        if bad.size:
+            raise ConfigError(*faults[bad[0, 1]])
+        tables.append([[mode] * V.size, V, rep.dz_term, rep.dx2_term, rep.dA_over_A,
+                       [d if v > 0 else None for v, d in zip(cfg.voltages, dz.tolist())],
+                       ((V > 0) & (dz >= 2e-9) & (dz <= 3e-9)).astype(np.int64), dv,
+                       [nulling_voltage(gate, mode, cfg.material)] * V.size])
+    published, recomputed = tables
     _emit(
         args,
         "error_budget",
         ["mode", "V", "dz_term", "dx2_term", "dA_over_A", "dz_for_target", "dz_in_2_3_nm", "admissible_dV", "nulling_V"],
-        list(zip(*rows)),  # voltages are never empty, so neither are the rows
+        [np.concatenate((p, r)) if isinstance(p, np.ndarray) else p + r for p, r in zip(published, recomputed)],
     )
 
     if cfg.nulling_ranges is not None:

@@ -14,6 +14,12 @@ with s = a^2 + c^2, so its only nonzero root in V has the closed form
 whole (a, c) mesh at once, in pow-free terms that floats and arrays round alike,
 and returns the configurations that qualify as the float64 columns of a
 :class:`NullingTable`, with no per-row objects.
+
+:func:`relative_hic_error`, :func:`dz_for_target` and
+:func:`admissible_voltage_error` take V as a float or a 1-D array.  Each
+validates the gate and computes its coefficients once, then broadcasts the
+same formulas, so an array gives every voltage the bits of the float call and
+the ``error-budget`` voltage table is one call per coefficient mode.
 """
 
 from __future__ import annotations
@@ -183,7 +189,7 @@ def nulling_voltage(
 
 def relative_hic_error(
     gate: GateGeometry,
-    V: float,
+    V,
     err: PlacementError,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
@@ -193,34 +199,42 @@ def relative_hic_error(
     dA/A = dz * {q V^2 2c/(a^2+c^2)}
          + dx^2 * {q V^2 (2c^2-a^2)/(a^2+c^2)^2 - l V (2c^4-a^4)/(2c^2(a^2+c^2)^2)}
 
-    Exactly linear in dz and quadratic in dx.  Warns when |dz| > 0.2 c (the
-    truncation drops dz^2 terms, which stop being negligible there).
+    Exactly linear in dz and quadratic in dx.  V is a float or a 1-D array,
+    and each term has its shape; an array gives each voltage the float's bits.
+    Warns when |dz| > 0.2 c (the truncation drops dz^2 terms, which stop
+    being negligible there).
     """
-    strip_gate_terms(gate)
-    if V < 0:
+    t = strip_gate_terms(gate)
+    if np.any(V < 0):
         raise ValueError("V must be non-negative")
     if abs(err.dz) > 0.2 * gate.c:
         warnings.warn(
             "dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible",
             stacklevel=2,
         )
-    dz_term = err.dz * dz_coefficient(gate, V, coefficients, mat)
-    dx2_term = err.dx**2 * dx2_bracket(gate, V, coefficients, mat)
-    return ErrorBudgetReport(dA_over_A=dz_term + dx2_term, dz_term=dz_term, dx2_term=dx2_term)
+    q, l = strip_coefficients(gate, coefficients, mat)
+    with np.errstate(all="ignore"):  # out-of-range terms are inf or nan, as for a float
+        dz_term = err.dz * _dz_coeff(q, gate.c, t, V)
+        dx2_term = err.dx**2 * _bracket(q, l, t, V)  # a Python **: numpy's may round differently
+        return ErrorBudgetReport(dA_over_A=dz_term + dx2_term, dz_term=dz_term, dx2_term=dx2_term)
 
 
 def dz_for_target(
     gate: GateGeometry,
-    V: float,
+    V,
     target: float,
     coefficients: str = "published",
     mat: MaterialParams = DEFAULT_MATERIAL,
-) -> float:
-    """Depth offset dz producing the target relative error (dx = 0)."""
-    coeff = dz_coefficient(gate, V, coefficients, mat)
-    if coeff == 0.0:
-        return math.inf
-    return target / coeff
+):
+    """Depth offset dz producing the target relative error (dx = 0).
+
+    inf where the dz coefficient is 0, as at V = 0.  V is a float or a 1-D
+    array, and the result has its shape.
+    """
+    with np.errstate(all="ignore"):
+        coeff = np.asarray(dz_coefficient(gate, V, coefficients, mat))
+        dz = np.where(coeff == 0.0, math.inf, target / coeff)
+    return dz if np.ndim(V) else dz.item()  # a float V gives a float
 
 
 def find_nulling_parameters(
@@ -271,7 +285,7 @@ def find_nulling_parameters(
 
 def admissible_voltage_error(
     gate: GateGeometry,
-    V: float,
+    V,
     line_width: float = DEFAULT_LINE_WIDTH,
     A0_Hz: float | None = None,
     mat: MaterialParams = DEFAULT_MATERIAL,
@@ -280,20 +294,24 @@ def admissible_voltage_error(
 
     Solves |slope| dV + |quad| dV^2 = line_width / A0 for dV, which reduces
     to line_width / (A0 |slope|) away from stationary points and to the
-    quadratic bound sqrt(line_width / (A0 |quad|)) at one (flagged).
+    quadratic bound sqrt(line_width / (A0 |quad|)) at one (flagged).  V is a
+    float or a 1-D array; dV, stationary and slope have its shape.
     """
     if line_width < 0:
         raise ValueError("line_width must be non-negative")
     if A0_Hz is None:
         A0_Hz = hyperfine_constant_A0(mat)[1]
     lin, quad = voltage_polynomial(gate, mat)
-    slope = lin + 2.0 * quad * V
     t = line_width / A0_Hz
-    if t == 0.0:
-        return VoltageErrorBound(dV=0.0, stationary=False, slope=slope, quadratic=quad)
-    if quad == 0.0:
-        dv = math.inf if slope == 0.0 else t / abs(slope)
-        return VoltageErrorBound(dV=dv, stationary=slope == 0.0, slope=slope, quadratic=quad)
-    dv = (-abs(slope) + math.sqrt(slope * slope + 4.0 * abs(quad) * t)) / (2.0 * abs(quad))
-    stationary = abs(quad) * dv * dv > abs(slope) * dv
+    with np.errstate(all="ignore"):
+        slope = lin + 2.0 * quad * np.asarray(V, dtype=float)
+        if t == 0.0:
+            dv, stationary = np.zeros_like(slope), np.zeros_like(slope, dtype=bool)
+        elif quad == 0.0:
+            dv, stationary = np.where(slope == 0.0, math.inf, t / abs(slope)), slope == 0.0
+        else:
+            dv = (-abs(slope) + np.sqrt(slope * slope + 4.0 * abs(quad) * t)) / (2.0 * abs(quad))
+            stationary = abs(quad) * dv * dv > abs(slope) * dv
+    if np.ndim(V) == 0:  # a float V gives a float and a bool
+        dv, stationary, slope = dv.item(), stationary.item(), slope.item()
     return VoltageErrorBound(dV=dv, stationary=stationary, slope=slope, quadratic=quad)

@@ -469,45 +469,44 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
     return reports
 
 
-def _crossing_reports(sweep: SpectrumSweep) -> list[AnticrossingReport]:
+def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[AnticrossingReport]:
+    """Crossing reports of one block: each sign change of a pair's energy difference."""
     betas = sweep.beta_grid
     out = []
-    for key in BLOCK_ORDER:
-        block_tracks = [t for t in sweep.tracks if t.block == key]
-        for s in range(len(block_tracks)):
-            for t in range(s + 1, len(block_tracks)):
-                d = block_tracks[s].energies - block_tracks[t].energies
-                scale = max(
-                    1.0,
-                    float(np.max(np.abs(block_tracks[s].energies))),
-                    float(np.max(np.abs(block_tracks[t].energies))),
-                )
-                if np.max(np.abs(d)) <= CROSSING_TOL * scale:
-                    continue  # degenerate pair everywhere, not a crossing
-                # explicit sign tests: a product of the gaps can overflow, or
-                # underflow to -0.0 and hide a real sign change
-                d0, d1 = d[:-1], d[1:]
-                hits = np.flatnonzero(
-                    (d0 == 0.0) | ((d0 < 0.0) & (d1 > 0.0)) | ((d0 > 0.0) & (d1 < 0.0))
-                )
-                for i in hits.tolist():
-                    frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
-                    bstar = betas[i] + frac * (betas[i + 1] - betas[i])
-                    lab_s, w_s = block_tracks[s].dominant(i + 1)
-                    lab_t, w_t = block_tracks[t].dominant(i + 1)
-                    out.append(
-                        AnticrossingReport(
-                            pair=(lab_s, lab_t),
-                            beta_star=float(bstar),
-                            min_gap=0.0,
-                            eq19_gap=None,
-                            block=key,
-                            kind="crossing",
-                            partner=None,
-                            enter_weight=w_s,
-                            exit_weight=w_t,
-                        )
+    for s in range(len(block_tracks)):
+        for t in range(s + 1, len(block_tracks)):
+            d = block_tracks[s].energies - block_tracks[t].energies
+            scale = max(
+                1.0,
+                float(np.max(np.abs(block_tracks[s].energies))),
+                float(np.max(np.abs(block_tracks[t].energies))),
+            )
+            if np.max(np.abs(d)) <= CROSSING_TOL * scale:
+                continue  # degenerate pair everywhere, not a crossing
+            # explicit sign tests: a product of the gaps can overflow, or
+            # underflow to -0.0 and hide a real sign change
+            d0, d1 = d[:-1], d[1:]
+            hits = np.flatnonzero(
+                (d0 == 0.0) | ((d0 < 0.0) & (d1 > 0.0)) | ((d0 > 0.0) & (d1 < 0.0))
+            )
+            for i in hits.tolist():
+                frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
+                bstar = betas[i] + frac * (betas[i + 1] - betas[i])
+                lab_s, w_s = block_tracks[s].dominant(i + 1)
+                lab_t, w_t = block_tracks[t].dominant(i + 1)
+                out.append(
+                    AnticrossingReport(
+                        pair=(lab_s, lab_t),
+                        beta_star=float(bstar),
+                        min_gap=0.0,
+                        eq19_gap=None,
+                        block=block_tracks[s].block,
+                        kind="crossing",
+                        partner=None,
+                        enter_weight=w_s,
+                        exit_weight=w_t,
                     )
+                )
     return out
 
 
@@ -522,10 +521,8 @@ def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     for track in sweep.tracks:
         if len(track.basis) > 1:
             blocks.setdefault(track.block, []).append(track)
-    reports: list[AnticrossingReport] = []
-    for tracks in blocks.values():
-        reports += _exchange_reports(sweep, tracks)
-    reports.extend(_crossing_reports(sweep))
+    reports = [r for tracks in blocks.values() for r in _exchange_reports(sweep, tracks)]
+    reports += [r for tracks in blocks.values() for r in _crossing_reports(sweep, tracks)]
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports
 

@@ -7,8 +7,10 @@ polynomial's sign structure.  The exceptions are the per-point loops that
 whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
 tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
 bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
-search in ``find_nulling_parameters``, and :func:`write_table` for the
-columnar table writer in ``cli``, which must write the same bytes.
+search in ``find_nulling_parameters``, :func:`per_row_error_budget` for the
+voltage table of ``error-budget`` (scalar calls per row, against one array
+call per coefficient mode), and :func:`write_table` for the columnar table
+writer in ``cli``, which must write the same bytes.
 """
 
 import csv
@@ -163,6 +165,7 @@ def per_report_bisection(sweep):
     eigensolve of that track's block.
     """
     from sidonor.spectrum import _crossing_reports
+    from sidonor.spin_hamiltonian import BLOCK_ORDER
 
     reports = []
     for track in sweep.tracks:
@@ -171,7 +174,10 @@ def per_report_bisection(sweep):
         rep = _exchange_report(sweep, track)
         if rep is not None:
             reports.append(rep)
-    reports.extend(_crossing_reports(sweep))
+    for key in BLOCK_ORDER:
+        block_tracks = [t for t in sweep.tracks if t.block == key]
+        if len(block_tracks) > 1:
+            reports.extend(_crossing_reports(sweep, block_tracks))
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports
 
@@ -200,6 +206,71 @@ def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):
                 bracket = dx2_bracket(gate, root)
                 results.append((a, c, root, bracket, adm))
     return results
+
+
+def per_row_error_budget(cfg):
+    """Reference ``error-budget`` table: scalar calls per voltage row and mode.
+
+    Returns the rows of ``error_budget.*``, or the ``ConfigError`` that the
+    first failing check raises.
+    """
+    import math
+
+    from sidonor.cli import _require_gate
+    from sidonor.config import ConfigError
+    from sidonor.error_budget import (
+        admissible_voltage_error,
+        dz_for_target,
+        nulling_voltage,
+        relative_hic_error,
+        strip_coefficients,
+        strip_gate_terms,
+    )
+
+    def placement_terms(gate, v, mode, cfg):
+        try:
+            rep = relative_hic_error(gate, v, cfg.placement, mode, cfg.material)
+        except OverflowError:  # dx**2 beyond the float range
+            raise ConfigError("placement.dx", "the offset overflows the error terms") from None
+        for name, term in (("placement.dz", rep.dz_term), ("placement.dx", rep.dx2_term),
+                           ("placement", rep.dA_over_A)):
+            if not abs(term) < math.inf:
+                if mode == "recomputed":
+                    raise ConfigError("material", "the recomputed strip coefficients overflow the error terms")
+                raise ConfigError(name, "the offset overflows the error terms")
+        return rep
+
+    try:
+        gate = _require_gate(cfg)
+        if gate.kind != "strip":
+            raise ConfigError("gate.kind", "the error budget needs a strip gate")
+        if not all(v >= 0 for v in cfg.voltages):
+            raise ConfigError("voltage", "the error budget needs non-negative voltages")
+        try:
+            strip_gate_terms(gate)
+        except ValueError as exc:
+            raise ConfigError("gate", str(exc)) from None
+        q, l = strip_coefficients(gate, "recomputed", cfg.material)
+        if not (0.0 < q < math.inf and 0.0 < l < math.inf):
+            raise ConfigError("material", "recomputed strip coefficients not finite and positive")
+        dvs = [admissible_voltage_error(gate, v, cfg.line_width, mat=cfg.material).dV for v in cfg.voltages]
+        if not all(0.0 <= dv < math.inf for dv in dvs):
+            raise ConfigError("material", "the admissible voltage error is not finite and non-negative")
+        rows = []
+        for mode in ("published", "recomputed"):
+            nulling_v = nulling_voltage(gate, mode, cfg.material)
+            for v, dv in zip(cfg.voltages, dvs):
+                rep = placement_terms(gate, v, mode, cfg)
+                dz_t = dz_for_target(gate, v, cfg.target, mode, cfg.material) if v > 0 else None
+                if dz_t is not None and not abs(dz_t) < math.inf:
+                    if mode == "recomputed":
+                        raise ConfigError("material", "the recomputed strip coefficients give no finite dz_for_target")
+                    raise ConfigError("voltage", "the voltage gives no finite dz_for_target")
+                in_band = dz_t is not None and 2e-9 <= dz_t <= 3e-9
+                rows.append([mode, v, rep.dz_term, rep.dx2_term, rep.dA_over_A, dz_t, int(in_band), dv, nulling_v])
+    except ConfigError as exc:
+        return exc
+    return rows
 
 
 def write_table(csv_path, json_path, header, rows):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import tempfile
 import warnings
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import write_table
+from oracles import per_row_error_budget, write_table
 
 from sidonor import cli
 from sidonor.cli import main
@@ -439,6 +440,15 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
                      marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
         (STRIP_CONFIG, "error-budget", 'material.a_star="1e200 m"', "material.a_star"),
         (STRIP_CONFIG, "error-budget", 'material.delta_E="1e-320 J"', "material"),
+        # several faults: the first failing row names the field; the 1e-300 V row fails first
+        # on dz_for_target, the 0.5 V row on its dx^2 term, and dx**2 raises before any cell
+        (README_CONFIG, "error-budget", ['placement.dx="1e150 m"', 'voltage.values=["1e-300 V","0.5 V"]'],
+         "voltage"),
+        (README_CONFIG, "error-budget", ['placement.dx="1e150 m"', 'voltage.values=["0.5 V","1e-300 V"]'],
+         "placement.dx"),
+        pytest.param(README_CONFIG, "error-budget",
+                     ['placement.dx="1e200 m"', 'placement.dz="1e302 m"', 'voltage.values=["0.5 V"]'],
+                     "placement.dx", marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
@@ -450,7 +460,8 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "unknown-grid-key", "unknown-placement-key", "unknown-error_budget-key",
          "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key", "zero-delta_E",
          "overflowing-dx2-term", "overflowing-dx2", "overflowing-dz-term", "overflowing-a_star",
-         "overflowing-recomputed-dx2-term"],
+         "overflowing-recomputed-dx2-term", "tiny-voltage-row-first", "overflowing-dx2-row-first",
+         "overflowing-dx-before-dz-term"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field
@@ -504,6 +515,102 @@ def test_error_budget_huge_length_range_writes_only_finite_cells(tmp_path, capsy
     for name in ("error_budget.csv", "nulling.csv"):
         cells = [x for row in read_csv(out / name)[1:] for x in row if x not in TEXT_CELLS]
         assert all(math.isfinite(float(x)) for x in cells)
+
+
+def _quantity(typical, unit, signed=False):
+    """Quantity strings: mostly a value of typical size, sometimes any exponent from -320 to 308."""
+    any_size = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-320, 308))
+    text = st.one_of(typical.map(repr), typical.map(repr), any_size)
+    if signed:
+        text = st.builds("{}{}".format, st.sampled_from(["", "-"]), text)
+    return text.map(lambda t: f"{t} {unit}")
+
+
+NM = st.floats(1.0, 20.0)
+ERROR_BUDGET_CONFIGS = st.fixed_dictionaries({  # no ranges: no nulling mesh
+    "material": st.fixed_dictionaries({
+        "a_star": _quantity(st.floats(1.0, 5.0), "nm"),
+        "Delta_E": _quantity(st.floats(0.01, 0.1), "eV"),
+        "delta_E": _quantity(st.floats(0.01, 0.05), "eV", signed=True),
+    }),
+    "gate": st.fixed_dictionaries({
+        "kind": st.just("strip"),
+        "a": _quantity(NM, "nm"),
+        "c": _quantity(NM, "nm"),
+        "D": _quantity(st.floats(50.0, 1000.0), "nm"),
+    }),
+    "voltage": st.fixed_dictionaries({"values": st.lists(
+        st.one_of(st.sampled_from(["0 V", "-0.0 V", "1e-300 V"]), _quantity(st.floats(0.0, 2.0), "V")),
+        min_size=1, max_size=4,
+    )}),
+    "placement": st.fixed_dictionaries({
+        "dx": _quantity(st.floats(0.0, 5.0), "nm", signed=True),
+        "dz": _quantity(st.floats(0.0, 5.0), "nm", signed=True),
+    }),
+    "error_budget": st.fixed_dictionaries({
+        "target": st.one_of(st.floats(1e-4, 1.0), st.builds(lambda m, e: float(f"{m}e{e}"),
+                                                               st.integers(1, 9), st.integers(-320, 308))),
+        "line_width": _quantity(st.floats(0.0, 100.0), "kHz"),
+    }),
+})
+
+
+def run_main(argv):
+    """(exit code, stderr) of ``main(argv)``, with the dz-truncation warning silenced."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.filterwarnings("ignore", "dz exceeds 0.2 c", UserWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=100)
+@given(payload=ERROR_BUDGET_CONFIGS)
+def test_error_budget_table_equals_per_row_oracle(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(pathlib.Path(tmp), payload)
+        new, ref = os.path.join(tmp, "new"), os.path.join(tmp, "ref")
+        code, err = run_main(["error-budget", "--config", cfg_path, "--out-dir", new])
+        try:
+            cfg = load_config(cfg_path, [])
+        except ConfigError as exc:  # refused before the error budget runs
+            assert (code, err) == (2, f"config error: {exc}\n")
+            return
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "dz exceeds 0.2 c", UserWarning)
+            expected = per_row_error_budget(cfg)
+        if isinstance(expected, ConfigError):  # the same field, with the same message
+            assert (code, err) == (2, f"config error: {expected}\n")
+            assert not os.path.exists(new)
+            return
+        assert (code, err) == (0, "")
+        os.mkdir(ref)
+        header = ["mode", "V", "dz_term", "dx2_term", "dA_over_A", "dz_for_target", "dz_in_2_3_nm",
+                  "admissible_dV", "nulling_V"]
+        write_table(os.path.join(ref, "error_budget.csv"), os.path.join(ref, "error_budget.json"),
+                    header, expected)
+        for name in ("error_budget.csv", "error_budget.json"):
+            with open(os.path.join(new, name), "rb") as a, open(os.path.join(ref, name), "rb") as b:
+                assert a.read() == b.read(), name
+
+
+@settings(max_examples=100)
+@given(payload=ERROR_BUDGET_CONFIGS)
+def test_error_budget_exits_0_with_finite_cells_or_2_with_one_line(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(pathlib.Path(tmp), payload)
+        out = os.path.join(tmp, "out")
+        code, err = run_main(["error-budget", "--config", cfg_path, "--out-dir", out, "--format", "csv"])
+        assert code in (0, 2)
+        if code == 2:
+            assert not os.path.exists(out)
+            assert err.startswith("config error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            return
+        assert err == ""
+        cells = [x for row in read_csv(os.path.join(out, "error_budget.csv"))[1:] for x in row
+                 if x not in TEXT_CELLS]
+        assert cells and all(math.isfinite(float(x)) for x in cells)
 
 
 def test_parsers_reject_non_finite_numbers():

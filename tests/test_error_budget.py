@@ -296,6 +296,32 @@ def test_strip_zero_voltage_quadratic_bound():
     assert bound.stationary and bound.dV > 0
 
 
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def test_voltage_array_gives_each_voltage_the_bits_of_the_float_call():
+    volts = [0.0, -0.0, 1e-300, 0.3, 0.6, 2.0]
+    V = np.array(volts)
+    err = PlacementError(dx=1.2e-9, dz=-0.7e-9)
+    for mode in ("published", "recomputed"):
+        rep = relative_hic_error(STRIP, V, err, mode)
+        scalar = [relative_hic_error(STRIP, v, err, mode) for v in volts]
+        for key in ("dz_term", "dx2_term", "dA_over_A"):
+            assert all(type(getattr(r, key)) is float for r in scalar)
+            assert np.array_equal(bits(getattr(rep, key)), bits([getattr(r, key) for r in scalar]))
+        dz = [dz_for_target(STRIP, v, 0.01, mode) for v in volts]
+        assert all(type(d) is float for d in dz) and dz[0] == math.inf
+        assert np.array_equal(bits(dz_for_target(STRIP, V, 0.01, mode)), bits(dz))
+    for gate, line_width in ((DISC, 1e4), (STRIP, 1e4), (DISC, 0.0)):
+        bound = admissible_voltage_error(gate, V, line_width)
+        scalar = [admissible_voltage_error(gate, v, line_width) for v in volts]
+        assert all(type(b.dV) is float and type(b.stationary) is bool for b in scalar)
+        assert np.array_equal(bits(bound.dV), bits([b.dV for b in scalar]))
+        assert np.array_equal(bits(bound.slope), bits([b.slope for b in scalar]))
+        assert bound.stationary.tolist() == [b.stationary for b in scalar]
+
+
 def test_material_override_propagates():
     mat = MaterialParams(Delta_E=0.08 * 1.6e-19)  # doubled excitation energy
     rep = relative_hic_error(STRIP, 0.6, PlacementError(0.0, 1e-9), "recomputed", mat=mat)
