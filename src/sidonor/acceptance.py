@@ -176,18 +176,14 @@ def criterion_6() -> CriterionResult:
 
 
 def criterion_7() -> CriterionResult:
-    hits = []
-    for i in range(91):
-        v = 0.1 + 0.01 * i
-        dz = dz_for_target(STRIP_GATE, v, 0.01)
-        if 1.5e-9 <= dz <= 3.5e-9:
-            hits.append((v, dz))
-    strict = [(v, dz) for v, dz in hits if 2e-9 <= dz <= 3e-9]
-    ok = bool(hits)
-    lo = min((v for v, _ in strict), default=None)
-    hi = max((v for v, _ in strict), default=None)
+    V = 0.1 + 0.01 * np.arange(91)
+    dz = dz_for_target(STRIP_GATE, V, 0.01)
+    ok = bool(np.any((dz >= 1.5e-9) & (dz <= 3.5e-9)))
+    strict = V[(dz >= 2e-9) & (dz <= 3e-9)].tolist()
     detail = (
-        f"dz(1%) in [2, 3] nm for V in [{lo}, {hi}] V" if strict else "band entered only with 0.5 nm slack"
+        f"dz(1%) in [2, 3] nm for V in [{min(strict)}, {max(strict)}] V"
+        if strict
+        else "band entered only with 0.5 nm slack"
     )
     return _result(7, "1% error corresponds to dz in 2-3 nm for some V in [0.1, 1]", ok, detail)
 

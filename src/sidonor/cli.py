@@ -242,8 +242,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         np.tile(np.arange(1, n_levels + 1), n_beta),
         np.tile([t.block for t in sweep.tracks], n_beta),
         sweep.energy_matrix().ravel(),
-        np.transpose(labels).ravel(),
-        np.transpose(weights).ravel(),
+        np.column_stack(labels).ravel(),
+        np.column_stack(weights).ravel(),
     ]
     header = ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"]
     _emit(args, "spectrum", header, columns)

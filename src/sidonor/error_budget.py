@@ -24,8 +24,8 @@ the ``error-budget`` voltage table is one call per coefficient mode.
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -38,6 +38,8 @@ from .hyperfine import first_order_shift, second_order_shift, voltage_polynomial
 # published calibration coefficients (dimensionless per V^2 and per V)
 STRIP_QUAD_COEFF = 0.063
 STRIP_LIN_COEFF = 0.085
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_LINE_WIDTH = 1e4  # Hz, resonant-pulse strip width
 
@@ -201,17 +203,14 @@ def relative_hic_error(
 
     Exactly linear in dz and quadratic in dx.  V is a float or a 1-D array,
     and each term has its shape; an array gives each voltage the float's bits.
-    Warns when |dz| > 0.2 c (the truncation drops dz^2 terms, which stop
-    being negligible there).
+    Logs a warning when |dz| > 0.2 c (the truncation drops dz^2 terms, which
+    stop being negligible there).
     """
     t = strip_gate_terms(gate)
     if np.any(V < 0):
         raise ValueError("V must be non-negative")
     if abs(err.dz) > 0.2 * gate.c:
-        warnings.warn(
-            "dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible",
-            stacklevel=2,
-        )
+        _log.warning("dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible")
     q, l = strip_coefficients(gate, coefficients, mat)
     with np.errstate(all="ignore"):  # out-of-range terms are inf or nan, as for a float
         dz_term = err.dz * _dz_coeff(q, gate.c, t, V)

@@ -49,6 +49,8 @@ from .spin_hamiltonian import (
     BLOCK_ORDER,
     BLOCKS,
     MU_OVER_BETA,
+    _ZEEMAN_E,
+    _ZEEMAN_N,
     SpinParams,
     block_decompose,
     build_hamiltonian,
@@ -126,15 +128,15 @@ class Track:
     vectors: np.ndarray        # (n_beta, dim), eigenvector components
 
     @cached_property
-    def dominants(self) -> tuple[list[int], list[float]]:
-        """Dominant basis labels and their weights at every grid point, as Python scalars."""
+    def dominants(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dominant basis labels (int64) and their weights (float64) at every grid point."""
         w = self.vectors**2
         k = np.argmax(w, axis=1)
-        return np.asarray(self.basis)[k].tolist(), w[np.arange(k.size), k].tolist()
+        return np.array(self.basis, dtype=np.int64)[k], w[np.arange(k.size), k]
 
     def dominant(self, i: int) -> tuple[int, float]:
-        """(basis label, weight) of the dominant component at grid point i."""
-        return self.dominants[0][i], self.dominants[1][i]
+        """(basis label, weight) of the dominant component at grid point i, as Python scalars."""
+        return int(self.dominants[0][i]), float(self.dominants[1][i])
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,8 @@ class SpectrumSweep:
     tracks: list[Track]        # block listing order, ascending within block
     system: _BlockSystem       # the Hamiltonian the tracks were solved with
     # (n_beta, n_tracks) int8: the eigensolver's column of each track at each
-    # point, within its block; None when the sweep was not solved here
-    raw_columns: np.ndarray | None = None
+    # point, within its block
+    raw_columns: np.ndarray
 
     def energy_matrix(self) -> np.ndarray:
         """(n_beta, 16) matrix of all tracks in listing order."""
@@ -159,8 +161,6 @@ class SpectrumSweep:
         call per matrix, so the tracks equal those of :func:`sweep_spectrum`
         on the refined grid bit for bit.
         """
-        if self.raw_columns is None:
-            raise ValueError("the sweep has no raw column order to refine from")
         betas = refine_beta_grid(self.beta_grid, centers)
         if betas.size == self.beta_grid.size:  # every base point is kept: nothing new
             return self
@@ -207,41 +207,40 @@ class TransferTrace:
     conclusive: bool           # both end weights >= 0.6
 
 
-class _BlockSystem:
-    """Per-block Hamiltonian pieces H(beta) = C0 + beta*Cb + mu(beta)*Cm.
+# the beta and mu parts Cb and Cm of every block: the Zeeman blocks, free of alpha
+_CB = {b.m_plus_M: b.matrix for b in block_decompose(_ZEEMAN_E)}
+_CM = {b.m_plus_M: b.matrix for b in block_decompose(-_ZEEMAN_N)}
 
-    ``mu=None`` slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
+
+class _BlockSystem:
+    """Per-block Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
+
+    C0 holds the blocks of ``build_hamiltonian`` at beta = mu = 0.  ``mu=None``
+    slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
     """
 
     def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
         self.alpha_a, self.alpha_b, self.mu = alpha_a, alpha_b, mu
-        base, with_beta, with_mu = (
-            block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, b, m)))
-            for b, m in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
-        )
-        self.parts = {
-            b0.m_plus_M: (b0.matrix, bb.matrix - b0.matrix, bm.matrix - b0.matrix)
-            for b0, bb, bm in zip(base, with_beta, with_mu)
+        self.c0 = {
+            b.m_plus_M: b.matrix
+            for b in block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))
         }
 
     def stack(self, key: int, betas) -> np.ndarray:
         """(n_beta, d, d) matrices of block ``key`` at every beta.
 
-        C0, Cb and Cm are each exactly symmetric, so every H(beta) is too and
-        the stack needs no symmetrization.
+        Each is the ``key`` block of ``build_hamiltonian`` at (beta, mu) bit
+        for bit: the same terms are added in an order that differs only by
+        commuted sums, and Cm is the exact negation of the nuclear Zeeman
+        operator.  C0, Cb and Cm are each exactly symmetric, so every H(beta)
+        is too and the stack needs no symmetrization.
         """
-        c0, cb, cm = self.parts[key]
         col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
         mu = MU_OVER_BETA * col if self.mu is None else self.mu
-        h = col * cb
-        h += c0
-        h += mu * cm
+        h = col * _CB[key]
+        h += self.c0[key]
+        h += mu * _CM[key]
         return h
-
-    def solve(self, key: int, beta: float):
-        """Eigenpairs of block ``key`` at one beta (a one-point stack)."""
-        w, v = eigensolve_block(self.stack(key, [beta]))
-        return w[0], v[0]
 
 
 def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
@@ -282,7 +281,7 @@ def _match(system: _BlockSystem, key: int, b0, v0, b1, v1, depth: int = 0) -> li
         )
         return perm
     bm = 0.5 * (b0 + b1)
-    _, vm = system.solve(key, bm)
+    vm = eigensolve_block(system.stack(key, [bm]))[1][0]
     p_left = _match(system, key, b0, v0, bm, vm, depth + 1)
     vm_aligned = vm[:, p_left]
     p_right = _match(system, key, bm, vm_aligned, b1, v1, depth + 1)
@@ -362,7 +361,7 @@ def sweep_spectrum(
     """Diagonalize all blocks over the beta grid with adiabatic continuation.
 
     Each block is one stacked :func:`eigensolve_block` call over the whole
-    grid.  Adjacent points are connected through one stacked product
+    grid, on the blocks of ``build_hamiltonian`` bit for bit.  Adjacent points are connected through one stacked product
     |V[:-1]^T V[1:]| of the block's eigenvector columns: where the row
     argmaxes of a step form a permutation and every row leads its runner-up
     by at least ``OVERLAP_AMBIGUITY``, that permutation is the step's
@@ -380,7 +379,7 @@ def sweep_spectrum(
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
         raise ValueError("beta_grid must be a non-empty 1-D array")
-    if betas.size > 1 and not np.all(np.diff(betas) > 0):
+    if not np.all(betas[1:] > betas[:-1]):  # no difference: it can overflow
         raise ValueError("beta_grid must be strictly ascending")
 
     system = _BlockSystem(alpha_a, alpha_b, mu)

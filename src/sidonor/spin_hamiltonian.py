@@ -125,12 +125,14 @@ def build_hamiltonian(p: SpinParams) -> np.ndarray:
     for name in ("alpha_a", "alpha_b", "beta", "mu"):
         if not np.isfinite(getattr(p, name)):
             raise ValueError(f"{name} must be finite")
+    # couplings first, field terms last: the sweep adds its beta and mu blocks
+    # to the blocks at beta = mu = 0 in this order, so it gets these bits
     return (
-        p.beta * _ZEEMAN_E
-        + _EXCHANGE
-        - p.mu * _ZEEMAN_N
+        _EXCHANGE
         + p.alpha_a * _HF_A
         + p.alpha_b * _HF_B
+        + p.beta * _ZEEMAN_E
+        - p.mu * _ZEEMAN_N
     )
 
 

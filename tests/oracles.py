@@ -95,7 +95,7 @@ def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
 
 def _exchange_report(sweep, track):
     """One track's exchange report, bisected alone with one-point solves."""
-    from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eq19_gap_dimensionless
+    from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eigensolve_block, eq19_gap_dimensionless
 
     system = sweep.system
     betas = sweep.beta_grid
@@ -120,7 +120,7 @@ def _exchange_report(sweep, track):
     use_half = whi[-1] >= 0.5
     for _ in range(16):
         mid = 0.5 * (lo + hi)
-        w, v = system.solve(track.block, mid)
+        w, v = (x[0] for x in eigensolve_block(system.stack(track.block, [mid])))
         col = int(np.argmax(np.abs(v_ref @ v)))
         wcol = v[:, col] ** 2
         val = wcol[j_hi] - (0.5 if use_half else wcol[j_lo])
@@ -130,7 +130,7 @@ def _exchange_report(sweep, track):
             lo = mid
     beta_star = 0.5 * (lo + hi)
 
-    w, v = system.solve(track.block, beta_star)
+    w, v = (x[0] for x in eigensolve_block(system.stack(track.block, [beta_star])))
     col = int(np.argmax(np.abs(v_ref @ v)))
     dist = np.abs(w - w[col])
     dist[col] = np.inf

@@ -6,6 +6,8 @@ import json
 import math
 import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -386,6 +388,32 @@ def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
     assert main(["spectrum", "--out-dir", str(tmp_path)]) == 3
 
 
+def run_cli(*argv):
+    """(exit code, stderr) of the ``sidonor`` CLI in a fresh interpreter, with default warning filters."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sidonor.cli", *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def test_overflowing_beta_grid_exits_3_with_one_stderr_line(tmp_path):
+    # the grid's ascent check must not subtract 1e308 from -1e308
+    out = tmp_path / "out"
+    code, err = run_cli("spectrum", "--out-dir", str(out), "--set", "spin.beta.values=[-1e308, 1e308]")
+    assert code == 3
+    assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_dz_truncation_is_one_log_line_per_coefficient_mode(tmp_path):
+    cfg = write_config(tmp_path, STRIP_CONFIG)
+    code, err = run_cli("error-budget", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+                        "--set", 'placement.dz="3 nm"')  # above 0.2 c = 2 nm
+    assert code == 0
+    assert err == "dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible\n" * 2
+
+
 def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["spectrum", "--format", "csv", "--out-dir", str(out),
@@ -436,8 +464,7 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
         (DISC_CONFIG, "hic", 'material.delta_E="0 eV"', "material.delta_E"),
         (STRIP_CONFIG, "error-budget", 'placement.dx="1e150 m"', "placement.dx"),  # dx^2 term -inf
         (STRIP_CONFIG, "error-budget", 'placement.dx="1e200 m"', "placement.dx"),  # dx**2 raises
-        pytest.param(STRIP_CONFIG, "error-budget", 'placement.dz="1e302 m"', "placement.dz",
-                     marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
+        (STRIP_CONFIG, "error-budget", 'placement.dz="1e302 m"', "placement.dz"),
         (STRIP_CONFIG, "error-budget", 'material.a_star="1e200 m"', "material.a_star"),
         (STRIP_CONFIG, "error-budget", 'material.delta_E="1e-320 J"', "material"),
         # several faults: the first failing row names the field; the 1e-300 V row fails first
@@ -446,9 +473,8 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
          "voltage"),
         (README_CONFIG, "error-budget", ['placement.dx="1e150 m"', 'voltage.values=["0.5 V","1e-300 V"]'],
          "placement.dx"),
-        pytest.param(README_CONFIG, "error-budget",
-                     ['placement.dx="1e200 m"', 'placement.dz="1e302 m"', 'voltage.values=["0.5 V"]'],
-                     "placement.dx", marks=pytest.mark.filterwarnings("ignore:dz exceeds 0.2 c:UserWarning")),
+        (README_CONFIG, "error-budget",
+         ['placement.dx="1e200 m"', 'placement.dz="1e302 m"', 'voltage.values=["0.5 V"]'], "placement.dx"),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
@@ -556,10 +582,9 @@ ERROR_BUDGET_CONFIGS = st.fixed_dictionaries({  # no ranges: no nulling mesh
 
 
 def run_main(argv):
-    """(exit code, stderr) of ``main(argv)``, with the dz-truncation warning silenced."""
+    """(exit code, stderr) of ``main(argv)``."""
     err = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        warnings.filterwarnings("ignore", "dz exceeds 0.2 c", UserWarning)
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
     return code, err.getvalue()
 
@@ -576,9 +601,7 @@ def test_error_budget_table_equals_per_row_oracle(payload):
         except ConfigError as exc:  # refused before the error budget runs
             assert (code, err) == (2, f"config error: {exc}\n")
             return
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "dz exceeds 0.2 c", UserWarning)
-            expected = per_row_error_budget(cfg)
+        expected = per_row_error_budget(cfg)
         if isinstance(expected, ConfigError):  # the same field, with the same message
             assert (code, err) == (2, f"config error: {expected}\n")
             assert not os.path.exists(new)

@@ -100,9 +100,12 @@ def test_dz_for_one_percent_reference():
     assert in_band  # some working voltage puts the 1% budget at 2-3 nm
 
 
-def test_large_dz_warns_about_truncation():
-    with pytest.warns(UserWarning):
-        relative_hic_error(STRIP, 0.5, PlacementError(dx=0.0, dz=0.3 * C))
+def test_large_dz_warns_about_truncation(caplog):
+    relative_hic_error(STRIP, 0.5, PlacementError(dx=0.0, dz=0.2 * C))  # at the bound: no record
+    relative_hic_error(STRIP, np.array([0.5, 1.0]), PlacementError(dx=0.0, dz=-0.3 * C))
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("sidonor.error_budget", "WARNING", "dz exceeds 0.2 c: dropped dz^2 terms are no longer negligible")
+    ]
 
 
 def test_recomputed_coefficients_same_structure():
