@@ -2,7 +2,10 @@
 
 A sweep diagonalizes each conserved-projection block on a beta grid and
 connects eigenvectors between adjacent grid points by maximal overlap
-("adiabatic tracks").  On top of the tracks:
+("adiabatic tracks").  At alpha_a = alpha_b each block is solved and tracked
+as its even and odd exchange-symmetry sectors instead (see
+:class:`_BlockSystem`); a track's labels are then those of its sector's
+basis.  On top of the tracks:
 
 * :func:`find_anticrossings` locates level crossings (sign changes of a
   track-pair gap, only possible for uncoupled pairs) and anticrossings.
@@ -10,7 +13,7 @@ connects eigenvectors between adjacent grid points by maximal overlap
   dominant basis state at the high-beta end differs from the one at the
   low-beta end.  Its location ``beta_star`` is the half-transfer point where
   the entering character's weight crosses 1/2, and ``min_gap`` is the
-  distance to the nearest same-block level there.  For weakly coupled pairs
+  distance to the nearest same-sector level there.  For weakly coupled pairs
   this reduces to the textbook minimum-gap point; for the strongly mixed
   regime (alpha ~ 0.3) it remains well defined where a plain adjacent-gap
   minimum does not.
@@ -21,13 +24,13 @@ connects eigenvectors between adjacent grid points by maximal overlap
 
 Every diagonalization goes through :func:`eigensolve_block`, which runs
 LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
-makes one call per block for the entire beta grid, each bisection step is one
-call over the midpoints of every exchanging track of a block, and
+makes one call per sector for the entire beta grid, each bisection step is one
+call over the midpoints of every exchanging track of a sector, and
 :meth:`SpectrumSweep.refine` solves only the points it adds to the grid.  Only
 the midpoint refinement of an ambiguous tracking step solves one point.
 
 Tracking is whole-grid too: one stacked product gives the |overlap| matrices
-of every pair of adjacent grid points of a block.  Where each matrix's row
+of every pair of adjacent grid points of a sector.  Where each matrix's row
 argmax is a permutation that leads every runner-up by ``OVERLAP_AMBIGUITY``,
 that permutation is exactly what greedy matching would return, and each run
 of such steps is composed into track order by one prefix scan.  Every other
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -47,13 +50,15 @@ from .constants import DEFAULT_CONSTANTS, linear_grid
 from .spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
-    BLOCKS,
     MU_OVER_BETA,
+    WHOLE_BLOCKS,
     _ZEEMAN_E,
     _ZEEMAN_N,
+    Sector,
     SpinParams,
     block_decompose,
     build_hamiltonian,
+    sector_decompose,
 )
 
 DEFAULT_BETA_GRID = np.array(linear_grid(0.2, 3.0, 401))
@@ -120,12 +125,13 @@ def eigensolve_block(h):
 
 @dataclass(frozen=True)
 class Track:
-    """One adiabatically-continued eigenvalue track of a symmetry block."""
+    """One adiabatically-continued eigenvalue track of a symmetry sector."""
 
     block: int                 # M + m of the block
-    basis: tuple[int, ...]     # 1-based basis indices spanning the block
+    basis: tuple[int, ...]     # labels of the sector's basis states (Sector.labels)
     energies: np.ndarray       # (n_beta,), units of J
-    vectors: np.ndarray        # (n_beta, dim), eigenvector components
+    vectors: np.ndarray        # (n_beta, dim), eigenvector components in that basis
+    parity: int = 0            # Sector.parity: +1 even, -1 odd, 0 for a whole block
 
     @cached_property
     def dominants(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,11 +147,13 @@ class Track:
 
 @dataclass(frozen=True)
 class SpectrumSweep:
+    # tracks: blocks in listing order, ascending within a block at the first
+    # grid point, the even sector first on an exact tie
     beta_grid: np.ndarray
-    tracks: list[Track]        # block listing order, ascending within block
+    tracks: list[Track]
     system: _BlockSystem       # the Hamiltonian the tracks were solved with
     # (n_beta, n_tracks) int8: the eigensolver's column of each track at each
-    # point, within its block
+    # point, within its sector
     raw_columns: np.ndarray
 
     def energy_matrix(self) -> np.ndarray:
@@ -157,7 +165,7 @@ class SpectrumSweep:
 
         The base points' eigenpairs are taken back from the tracks, in the
         eigensolver's column order, through ``raw_columns``; one stacked call
-        per block solves the rest.  A stacked call gives the same bits as one
+        per sector solves the rest.  A stacked call gives the same bits as one
         call per matrix, so the tracks equal those of :func:`sweep_spectrum`
         on the refined grid bit for bit.
         """
@@ -167,20 +175,20 @@ class SpectrumSweep:
         base = np.searchsorted(betas, self.beta_grid)[:, None]
         new = np.ones(betas.size, dtype=bool)
         new[base[:, 0]] = False
-        tracks, columns, start = [], [], 0
-        for key in BLOCK_ORDER:
-            block = self.tracks[start:start + len(BLOCKS[key])]
-            cols = self.raw_columns[:, start:start + len(block)]
-            start += len(block)
-            energies = np.empty((betas.size, len(block)))
-            vectors = np.empty((betas.size, len(block), len(block)))
-            energies[new], vectors[new] = eigensolve_block(self.system.stack(key, betas[new]))
-            energies[base, cols] = np.column_stack([t.energies for t in block])
-            vectors[base, :, cols] = np.stack([t.vectors for t in block], axis=1)
-            block_tracks, perm = _block_tracks(self.system, key, betas, energies, vectors)
-            tracks += block_tracks
-            columns.append(perm)
-        return SpectrumSweep(betas, tracks, self.system, np.hstack(columns).astype(np.int8))
+
+        def solve(sector):
+            key = (sector.block, sector.parity)
+            own = [n for n, t in enumerate(self.tracks) if (t.block, t.parity) == key]
+            dim = len(own)
+            energies = np.empty((betas.size, dim))
+            vectors = np.empty((betas.size, dim, dim))
+            energies[new], vectors[new] = eigensolve_block(self.system.stack(sector, betas[new]))
+            cols = self.raw_columns[:, own]
+            energies[base, cols] = np.column_stack([self.tracks[n].energies for n in own])
+            vectors[base, :, cols] = np.stack([self.tracks[n].vectors for n in own], axis=1)
+            return energies, vectors
+
+        return _tracked_sweep(self.system, betas, solve)
 
 
 @dataclass(frozen=True)
@@ -212,34 +220,58 @@ _CB = {b.m_plus_M: b.matrix for b in block_decompose(_ZEEMAN_E)}
 _CM = {b.m_plus_M: b.matrix for b in block_decompose(-_ZEEMAN_N)}
 
 
+@cache
+def _exchange_fields(key: int) -> tuple[list, list]:
+    """Cb and Cm of the exchange sectors of block ``key``, rotated once: they are free of alpha."""
+    return sector_decompose(key, _CB[key]), sector_decompose(key, _CM[key])
+
+
 class _BlockSystem:
-    """Per-block Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
+    """Per-sector Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
 
     C0 holds the blocks of ``build_hamiltonian`` at beta = mu = 0.  ``mu=None``
     slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
+
+    ``sectors[key]`` lists the sectors that block ``key`` is solved in.  At
+    alpha_a != alpha_b that is the whole block in its product basis.  At
+    alpha_a = alpha_b the donor swap commutes with H, and the block is split
+    into its even and odd sectors (``sector_decompose``): C0, Cb and Cm are
+    rotated term by term, and the even-odd entries, at most rounding, are
+    dropped, so the two sectors are solved and tracked apart.
     """
 
     def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
         self.alpha_a, self.alpha_b, self.mu = alpha_a, alpha_b, mu
-        self.c0 = {
+        c0 = {
             b.m_plus_M: b.matrix
             for b in block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))
         }
+        self.sectors: dict[int, tuple[Sector, ...]] = {}
+        self._parts: dict[Sector, list[np.ndarray]] = {}  # C0, Cb and Cm of each sector
+        for key in BLOCK_ORDER:
+            if alpha_a == alpha_b:
+                parts = [sector_decompose(key, c0[key]), *_exchange_fields(key)]
+            else:
+                parts = [[(WHOLE_BLOCKS[key], m)] for m in (c0[key], _CB[key], _CM[key])]
+            self.sectors[key] = tuple(sector for sector, _ in parts[0])
+            for sector, *matrices in zip(self.sectors[key], *parts):
+                self._parts[sector] = [m for _, m in matrices]
 
-    def stack(self, key: int, betas) -> np.ndarray:
-        """(n_beta, d, d) matrices of block ``key`` at every beta.
+    def stack(self, sector: Sector, betas) -> np.ndarray:
+        """(n_beta, d, d) matrices of ``sector`` at every beta.
 
-        Each is the ``key`` block of ``build_hamiltonian`` at (beta, mu) bit
-        for bit: the same terms are added in an order that differs only by
-        commuted sums, and Cm is the exact negation of the nuclear Zeeman
-        operator.  C0, Cb and Cm are each exactly symmetric, so every H(beta)
-        is too and the stack needs no symmetrization.
+        For a whole block, each is that block of ``build_hamiltonian`` at
+        (beta, mu) bit for bit: the same terms are added in an order that
+        differs only by commuted sums, and Cm is the exact negation of the
+        nuclear Zeeman operator.  C0, Cb and Cm are each exactly symmetric, so
+        every H(beta) is too and the stack needs no symmetrization.
         """
+        c0, cb, cm = self._parts[sector]
         col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
         mu = MU_OVER_BETA * col if self.mu is None else self.mu
-        h = col * _CB[key]
-        h += self.c0[key]
-        h += mu * _CM[key]
+        h = col * cb
+        h += c0
+        h += mu * cm
         return h
 
 
@@ -268,43 +300,48 @@ def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
     return perm, float(margin)
 
 
-def _match(system: _BlockSystem, key: int, b0, v0, b1, v1, depth: int = 0) -> list[int]:
+def _match(system: _BlockSystem, sector: Sector, b0, v0, b1, v1, depth: int = 0) -> list[int]:
     """Overlap matching with deterministic local refinement on ambiguity."""
     perm, margin = _greedy_match(v0, v1)
     if margin >= OVERLAP_AMBIGUITY:
         return perm
     if depth >= _MAX_REFINE_DEPTH:
         _log.warning(
-            "block %d: overlap margin %.3g still below %g after %d refinements "
+            "%s: overlap margin %.3g still below %g after %d refinements "
             "on beta [%r, %r]; kept the greedy assignment",
-            key, margin, OVERLAP_AMBIGUITY, depth, float(b0), float(b1),
+            sector.name, margin, OVERLAP_AMBIGUITY, depth, float(b0), float(b1),
         )
         return perm
     bm = 0.5 * (b0 + b1)
-    vm = eigensolve_block(system.stack(key, [bm]))[1][0]
-    p_left = _match(system, key, b0, v0, bm, vm, depth + 1)
+    vm = eigensolve_block(system.stack(sector, [bm]))[1][0]
+    p_left = _match(system, sector, b0, v0, bm, vm, depth + 1)
     vm_aligned = vm[:, p_left]
-    p_right = _match(system, key, bm, vm_aligned, b1, v1, depth + 1)
+    p_right = _match(system, sector, bm, vm_aligned, b1, v1, depth + 1)
     return p_right
 
 
 def _compose_runs(start, steps) -> np.ndarray:
     """Rows r[k] = steps[k][r[k - 1]] for every k, with r[-1] = ``start``.
 
-    One inclusive prefix scan by pointer doubling: about log2(len(steps))
-    ``take_along_axis`` passes over the (k, dim) stack of index maps, giving
-    the same integers as composing one step at a time.
+    An identity step repeats the row before it, so only the steps that move
+    a column are composed: one inclusive prefix scan by pointer doubling,
+    about log2 of their number ``take_along_axis`` passes over their
+    (k, dim) stack of index maps.  This gives the same integers as composing
+    one step at a time.
     """
-    x = np.concatenate([np.asarray(start)[None], steps])
+    steps = np.asarray(steps)
+    moves = np.flatnonzero(np.any(steps != np.arange(steps.shape[-1]), axis=-1))
+    x = np.concatenate([np.asarray(start)[None], steps[moves]])
     d = 1
     while d < len(x):
         x[d:] = np.take_along_axis(x[d:], x[:-d], axis=-1)
         d *= 2
-    return x[1:]
+    # row k of the result is x after the moving steps up to and including k
+    return x[np.searchsorted(moves, np.arange(len(steps)), side="right")]
 
 
-def _block_tracks(system: _BlockSystem, key: int, betas, energies, vectors):
-    """The tracks of block ``key`` from its eigenpairs at every grid point.
+def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vectors):
+    """The tracks of ``sector`` from its eigenpairs at every grid point.
 
     ``energies`` (n_beta, dim) and ``vectors`` (n_beta, dim, dim) are in the
     eigensolver's column order.  Returns (tracks, perm), where perm[i, t] is
@@ -312,7 +349,7 @@ def _block_tracks(system: _BlockSystem, key: int, betas, energies, vectors):
     """
     n, dim = energies.shape
     perm = np.tile(np.arange(dim), (n, 1))
-    if dim > 1:  # a one-level block is one track as it stands
+    if dim > 1:  # a one-level sector is one track as it stands
         # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
         overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
         np.abs(overlap, out=overlap)
@@ -339,30 +376,51 @@ def _block_tracks(system: _BlockSystem, key: int, betas, energies, vectors):
                 perm[first:i] = _compose_runs(perm[first - 1], best[first - 1:i - 1])
             if i < n:
                 perm[i] = _match(
-                    system, key, betas[i - 1], vectors[i - 1][:, perm[i - 1]], betas[i], vectors[i]
+                    system, sector, betas[i - 1], vectors[i - 1][:, perm[i - 1]], betas[i], vectors[i]
                 )
             first = i + 1
     rows = np.arange(n)
     tracks = [
         Track(
-            block=key,
-            basis=BLOCKS[key],
+            block=sector.block,
+            basis=sector.labels,
             energies=energies[rows, perm[:, t]],
             vectors=vectors[rows, :, perm[:, t]],
+            parity=sector.parity,
         )
         for t in range(dim)
     ]
     return tracks, perm
 
 
+def _tracked_sweep(system: _BlockSystem, betas, solve) -> SpectrumSweep:
+    """The sweep from ``solve(sector)``, each sector's eigenpairs on ``betas``.
+
+    A block's tracks are listed in ascending order at the first grid point;
+    the sort is stable, so on an exact tie the even sector comes first.
+    """
+    tracks, columns = [], []
+    for key in BLOCK_ORDER:
+        found = []  # (track, its column at every point)
+        for sector in system.sectors[key]:
+            sector_tracks, perm = _sector_tracks(system, sector, betas, *solve(sector))
+            found += zip(sector_tracks, perm.T)
+        found.sort(key=lambda pair: pair[0].energies[0])
+        tracks += [track for track, _ in found]
+        columns += [column for _, column in found]
+    return SpectrumSweep(betas, tracks, system, np.column_stack(columns).astype(np.int8))
+
+
 def sweep_spectrum(
     alpha_a: float, alpha_b: float, beta_grid=None, mu: float | None = None
 ) -> SpectrumSweep:
-    """Diagonalize all blocks over the beta grid with adiabatic continuation.
+    """Diagonalize all sectors over the beta grid with adiabatic continuation.
 
-    Each block is one stacked :func:`eigensolve_block` call over the whole
-    grid, on the blocks of ``build_hamiltonian`` bit for bit.  Adjacent points are connected through one stacked product
-    |V[:-1]^T V[1:]| of the block's eigenvector columns: where the row
+    Each sector (see :class:`_BlockSystem`) is one stacked
+    :func:`eigensolve_block` call over the whole grid; at alpha_a != alpha_b
+    the sectors are the blocks of ``build_hamiltonian``, bit for bit.
+    Adjacent points are connected through one stacked product
+    |V[:-1]^T V[1:]| of the sector's eigenvector columns: where the row
     argmaxes of a step form a permutation and every row leads its runner-up
     by at least ``OVERLAP_AMBIGUITY``, that permutation is the step's
     matching, and each run of such steps is composed by one prefix scan; any
@@ -383,18 +441,11 @@ def sweep_spectrum(
         raise ValueError("beta_grid must be strictly ascending")
 
     system = _BlockSystem(alpha_a, alpha_b, mu)
-    tracks: list[Track] = []
-    columns = []
-    for key in BLOCK_ORDER:
-        energies, vectors = eigensolve_block(system.stack(key, betas))
-        block_tracks, perm = _block_tracks(system, key, betas, energies, vectors)
-        tracks += block_tracks
-        columns.append(perm)
-    return SpectrumSweep(betas, tracks, system, np.hstack(columns).astype(np.int8))
+    return _tracked_sweep(system, betas, lambda sector: eigensolve_block(system.stack(sector, betas)))
 
 
-def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[AnticrossingReport]:
-    """Anticrossing reports of the exchanging tracks of one block, bisected in lockstep.
+def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track]) -> list[AnticrossingReport]:
+    """Anticrossing reports of the exchanging tracks of one sector, bisected in lockstep.
 
     A track exchanges when its dominant label at the high-beta end differs
     from the one at the low-beta end.  Its ``beta_star`` is the half-transfer
@@ -402,12 +453,15 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
     from negative to non-negative, bisected 16 times.  If the entering weight
     never reaches 1/2 (strong mixing), f is the dominance swap between the
     two exchanging characters instead.  Every bisection step solves the
-    midpoints of all the block's reports in one stacked call, and one more
+    midpoints of all the sector's reports in one stacked call, and one more
     call solves their ``beta_star``; each report's midpoints depend only on
     its own values, so each report is what bisecting it alone gives.
+    ``min_gap`` and ``partner`` come from the track's own sector: a level of
+    the other sector crosses it exactly.  ``eq19_gap`` is set on block -1
+    reports at alpha_a = alpha_b and beta_star > 1.1.
     """
     system, betas = sweep.system, sweep.beta_grid
-    key, basis = tracks[0].block, tracks[0].basis
+    key, basis = sector.block, sector.labels
     found = []  # (track, j_hi, j_lo, use_half, i0) of each bracketed exchange
     for track in tracks:
         enter_label, exit_label = track.dominant(-1)[0], track.dominant(0)[0]
@@ -432,7 +486,7 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
     k = np.arange(len(found))
     for _ in range(16):
         mid = 0.5 * (lo + hi)
-        _, v = eigensolve_block(system.stack(key, mid))
+        _, v = eigensolve_block(system.stack(sector, mid))
         col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1)
         wcol = v[k, :, col] ** 2
         val = wcol[k, j_hi] - np.where(use_half, 0.5, wcol[k, j_lo])
@@ -440,7 +494,7 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
     beta_star = 0.5 * (lo + hi)
 
-    w, v = eigensolve_block(system.stack(key, beta_star))
+    w, v = eigensolve_block(system.stack(sector, beta_star))
     col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1).tolist()
     reports = []
     for r, track in enumerate(exchanging):
@@ -450,7 +504,7 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
         gap = dist[partner_col]
         scale = max(1.0, float(np.max(np.abs(w[r]))))
         eq19 = None
-        if system.alpha_a == system.alpha_b and beta_star[r] > 1.1:
+        if key == -1 and system.alpha_a == system.alpha_b and beta_star[r] > 1.1:
             eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star[r])
         reports.append(
             AnticrossingReport(
@@ -469,7 +523,12 @@ def _exchange_reports(sweep: SpectrumSweep, tracks: list[Track]) -> list[Anticro
 
 
 def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[AnticrossingReport]:
-    """Crossing reports of one block: each sign change of a pair's energy difference."""
+    """Crossing reports of one block: each sign change of a pair's energy difference.
+
+    Tracks of the two sectors of a block never couple, so they cross exactly,
+    and each sign change between them is a crossing by parity alone.  A pair
+    within CROSSING_TOL everywhere is degenerate, not crossing.
+    """
     betas = sweep.beta_grid
     out = []
     for s in range(len(block_tracks)):
@@ -512,16 +571,21 @@ def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[A
 def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     """All character exchanges (anticrossings) and true crossings of the sweep.
 
-    Gaps below ``CROSSING_TOL`` (relative to the local energy scale) are
-    classified as crossings.  Deterministic ordering by (beta_star, block,
-    pair).
+    Exchanges are found and bisected within each sector; a sector gap below
+    ``CROSSING_TOL`` (relative to the local energy scale) makes the exchange
+    a crossing.  Crossings are found between all tracks of a block.
+    Deterministic ordering by (beta_star, block, pair).
     """
-    blocks: dict[int, list[Track]] = {}
-    for track in sweep.tracks:
-        if len(track.basis) > 1:
-            blocks.setdefault(track.block, []).append(track)
-    reports = [r for tracks in blocks.values() for r in _exchange_reports(sweep, tracks)]
-    reports += [r for tracks in blocks.values() for r in _crossing_reports(sweep, tracks)]
+    reports, crossings = [], []
+    for key in BLOCK_ORDER:
+        block_tracks = [t for t in sweep.tracks if t.block == key]
+        for sector in sweep.system.sectors[key]:
+            tracks = [t for t in block_tracks if t.parity == sector.parity]
+            if len(tracks) > 1:
+                reports += _exchange_reports(sweep, sector, tracks)
+        if len(block_tracks) > 1:
+            crossings += _crossing_reports(sweep, block_tracks)
+    reports += crossings
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports
 

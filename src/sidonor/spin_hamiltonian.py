@@ -12,11 +12,17 @@ with beta = 2 mu_B B / J, mu = g_N mu_N B / J, alpha = A / J.  The basis is
 
 The total projection M + m is conserved, so the matrix splits into five
 blocks, sizes 6, 4, 4, 1, 1 for M + m = 0, +1, -1, +2, -2.
+
+At alpha_a = alpha_b the donor swap (Ma, Mb, ma, mb) -> (Mb, Ma, mb, ma)
+commutes with H as well, and each block splits again into an even and an
+odd exchange-symmetry sector, sizes 4 + 2, 2 + 2, 2 + 2, 1 + 0 and 1 + 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -159,3 +165,103 @@ def block_decompose(H: np.ndarray) -> list[Block]:
         raise BlockStructureError(f"nonzero cross-block entry H[{i + 1},{j + 1}] = {H[i, j]}")
     sel = {key: [i - 1 for i in BLOCKS[key]] for key in BLOCK_ORDER}
     return [Block(key, BLOCKS[key], H[np.ix_(sel[key], sel[key])].copy()) for key in BLOCK_ORDER]
+
+
+# the donor swap (Ma, Mb, ma, mb) -> (Mb, Ma, mb, ma), index -> index; it keeps
+# M and m, so it maps every block onto itself
+_BY_SPINS = {(s.Ma, s.Mb, s.ma, s.mb): s.index for s in BASIS}
+SWAP: dict[int, int] = {s.index: _BY_SPINS[s.Mb, s.Ma, s.mb, s.ma] for s in BASIS}
+
+
+@dataclass(frozen=True)
+class Sector:
+    """The basis of one exchange-symmetry sector of a block, or of a whole block.
+
+    Each state is (label, p, q, sign), with p and q 0-based positions in the
+    block: the product state |p> when sign is 0 (then q = p), else the pair
+    state (|p> + sign |q>)/sqrt(2) of a swap orbit {p, q}.  An even pair
+    (sign +1) is labelled by the smaller basis index of its orbit, an odd
+    pair (sign -1) by the larger, so labels stay integers 1..16 and differ
+    between the two sectors of a block.  States are in ascending label order.
+    """
+
+    block: int                                    # M + m
+    parity: int                                   # +1 even, -1 odd under the swap; 0: whole block
+    states: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def labels(self) -> tuple[int, ...]:
+        return tuple(state[0] for state in self.states)
+
+    @property
+    def name(self) -> str:
+        return f"block {self.block}" + {1: " even", -1: " odd", 0: ""}[self.parity]
+
+
+def _sectors(key: int) -> tuple[Sector, ...]:
+    pos = {i: k for k, i in enumerate(BLOCKS[key])}
+    even, odd = [], []
+    for i in BLOCKS[key]:
+        j = SWAP[i]
+        if i == j:
+            even.append((i, pos[i], pos[i], 0))
+        elif i < j:
+            even.append((i, pos[i], pos[j], 1))
+            odd.append((j, pos[i], pos[j], -1))
+    return tuple(
+        Sector(key, parity, tuple(sorted(states))) for parity, states in ((1, even), (-1, odd)) if states
+    )
+
+
+WHOLE_BLOCKS: dict[int, Sector] = {
+    key: Sector(key, 0, tuple((i, k, k, 0) for k, i in enumerate(BLOCKS[key]))) for key in BLOCK_ORDER
+}
+# the even sector first, then the odd one where the block has one
+EXCHANGE_SECTORS: dict[int, tuple[Sector, ...]] = {key: _sectors(key) for key in BLOCK_ORDER}
+
+# normalization of an entry between states with 0, 1 or 2 pair states
+_PAIR_NORM = np.array([1.0, math.sqrt(0.5), 0.5])
+
+
+@cache
+def _gather(rows: Sector, cols: Sector) -> tuple:
+    """Index grids, signs and normalization of the entries between two sectors."""
+    _, p, q, s = (np.array(x) for x in zip(*rows.states))
+    _, r, t, u = (np.array(x) for x in zip(*cols.states))
+    s = s[:, None]
+    return np.ix_(p, r), np.ix_(p, t), np.ix_(q, r), np.ix_(q, t), s, u, _PAIR_NORM[np.abs(s) + np.abs(u)]
+
+
+def _rotate(c: np.ndarray, rows: Sector, cols: Sector) -> np.ndarray:
+    """<row state| C |column state> for a block matrix C in the product basis.
+
+    Term by term, without a matrix product: a pair-pair entry is
+    (C_pr + u C_pt + s (C_qr + u C_qt)) / 2, and only an entry between a pair
+    and a product state is scaled by 1/sqrt(2).  A diagonal swap-invariant C
+    rotates exactly, and the even-odd entries of an exactly swap-invariant C
+    are exactly zero.
+    """
+    pr, pt, qr, qt, s, u, norm = _gather(rows, cols)
+    x = c[pr] + u * c[pt]
+    x += s * (c[qr] + u * c[qt])
+    return x * norm
+
+
+def sector_decompose(key: int, matrix: np.ndarray) -> list[tuple[Sector, np.ndarray]]:
+    """Split the swap-invariant matrix of block ``key`` into its sector matrices.
+
+    Raises :class:`BlockStructureError` if an entry between the even and the
+    odd sector is more than rounding (8 ulp of the block's largest entry);
+    the entries that pass are dropped, so the sectors are exactly decoupled.
+    """
+    sectors = EXCHANGE_SECTORS[key]
+    if len(sectors) == 2:
+        cross = _rotate(matrix, *sectors)
+        large = np.abs(cross) > 8.0 * np.finfo(float).eps * np.max(np.abs(matrix))
+        if np.any(large):
+            i, j = np.argwhere(large)[0].tolist()
+            raise BlockStructureError(
+                f"block {key}: even-odd entry ({sectors[0].labels[i]}, "
+                f"{sectors[1].labels[j]}) = {cross[i, j]} is more than rounding"
+            )
+    return [(sector, _rotate(matrix, sector, sector)) for sector in sectors]

@@ -3,7 +3,10 @@
 These deliberately avoid the code paths they check: derivatives come from
 Richardson-extrapolated central differences, eigenvalues from inertia
 counting (LDL^T pivots of A - x I) plus bisection on the characteristic
-polynomial's sign structure.  The exceptions are the per-point loops that
+polynomial's sign structure, and the two-level sectors at alpha_a = alpha_b
+from their closed forms (:func:`two_level_eigenvalues`,
+:func:`odd_minus_one_anticrossing`) in the basis that :func:`sector_rotation`
+builds from the spin projections.  The exceptions are the per-point loops that
 whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
 tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
 bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
@@ -71,26 +74,82 @@ def eig_bisect(a, tol=1e-13):
 
 
 def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
-    """Reference adiabatic tracking: one greedy ``_match`` per grid point.
+    """Reference adiabatic tracking: one greedy ``_match`` per grid point and sector.
 
     Returns a list of (block, energies, vectors) in ``sweep_spectrum``'s
-    track order.
+    track order: by block, then ascending at the first grid point, the even
+    sector first on a tie.
     """
     from sidonor.spectrum import _BlockSystem, _match, eigensolve_block
-    from sidonor.spin_hamiltonian import BLOCK_ORDER, BLOCKS
+    from sidonor.spin_hamiltonian import BLOCK_ORDER
 
     betas = np.asarray(beta_grid, dtype=float)
     system = _BlockSystem(alpha_a, alpha_b, mu)
     out = []
     for key in BLOCK_ORDER:
-        energies, vectors = eigensolve_block(system.stack(key, betas))
-        for i in range(1, betas.size):
-            perm = _match(system, key, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
-            energies[i] = energies[i, perm]
-            vectors[i] = vectors[i][:, perm]
-        for t in range(len(BLOCKS[key])):
-            out.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
+        block = []
+        for sector in system.sectors[key]:
+            energies, vectors = eigensolve_block(system.stack(sector, betas))
+            for i in range(1, betas.size):
+                perm = _match(system, sector, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
+                energies[i] = energies[i, perm]
+                vectors[i] = vectors[i][:, perm]
+            for t in range(len(sector.labels)):
+                block.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
+        out += sorted(block, key=lambda track: track[1][0])
     return out
+
+
+def sector_of(system, track):
+    """The sector of ``system`` that ``track`` was solved in."""
+    return next(s for s in system.sectors[track.block] if s.parity == track.parity)
+
+
+def sector_rotation(sector):
+    """(block dim, sector dim) matrix whose columns are the sector's states in the product basis.
+
+    Built from the labels and the spin projections alone: with l' the state
+    of swapped donors, label l is |l> in a whole block or when l' = l,
+    (|l> + |l'>)/sqrt(2) in the even sector (l < l') and (|l'> - |l>)/sqrt(2)
+    in the odd one (l > l').
+    """
+    from sidonor.spin_hamiltonian import BASIS, BLOCKS
+
+    block = BLOCKS[sector.block]
+    r = np.zeros((len(block), len(sector.labels)))
+    for k, label in enumerate(sector.labels):
+        s = BASIS[label - 1]
+        swapped = next(t.index for t in BASIS if (t.Ma, t.Mb, t.ma, t.mb) == (s.Mb, s.Ma, s.mb, s.ma))
+        if sector.parity == 0 or swapped == label:
+            r[block.index(label), k] = 1.0
+        else:
+            r[block.index(label), k] = sector.parity / np.sqrt(2.0)
+            r[block.index(swapped), k] = 1.0 / np.sqrt(2.0)
+    return r
+
+
+def two_level_eigenvalues(h):
+    """Closed-form eigenvalues m -+ sqrt(d^2 + b^2) of a symmetric 2 x 2 matrix, ascending.
+
+    m is the mean of the diagonal entries, d half their difference and b the
+    off-diagonal entry.
+    """
+    m = 0.5 * (h[0, 0] + h[1, 1])
+    r = np.hypot(0.5 * (h[0, 0] - h[1, 1]), h[0, 1])
+    return m - r, m + r
+
+
+def odd_minus_one_anticrossing(alpha):
+    """(beta_star, gap) of the block -1 odd sector at alpha_a = alpha_b = alpha, mu slaved.
+
+    The sector {(|8> - |12>)/sqrt(2), (|14> - |15>)/sqrt(2)} has diagonal
+    entries -3/4 + mu and 1/4 - beta and off-diagonal entry alpha/2, so the
+    half-transfer point is where the diagonals meet, beta (1 + mu/beta) = 1,
+    and the gap there is 2 |alpha/2|.
+    """
+    from sidonor.spin_hamiltonian import MU_OVER_BETA
+
+    return 1.0 / (1.0 + MU_OVER_BETA), abs(alpha)
 
 
 def _exchange_report(sweep, track):
@@ -98,6 +157,7 @@ def _exchange_report(sweep, track):
     from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eigensolve_block, eq19_gap_dimensionless
 
     system = sweep.system
+    sector = sector_of(system, track)
     betas = sweep.beta_grid
     wts = track.vectors**2
     enter_label, enter_weight = track.dominant(-1)
@@ -120,7 +180,7 @@ def _exchange_report(sweep, track):
     use_half = whi[-1] >= 0.5
     for _ in range(16):
         mid = 0.5 * (lo + hi)
-        w, v = (x[0] for x in eigensolve_block(system.stack(track.block, [mid])))
+        w, v = (x[0] for x in eigensolve_block(system.stack(sector, [mid])))
         col = int(np.argmax(np.abs(v_ref @ v)))
         wcol = v[:, col] ** 2
         val = wcol[j_hi] - (0.5 if use_half else wcol[j_lo])
@@ -130,7 +190,7 @@ def _exchange_report(sweep, track):
             lo = mid
     beta_star = 0.5 * (lo + hi)
 
-    w, v = (x[0] for x in eigensolve_block(system.stack(track.block, [beta_star])))
+    w, v = (x[0] for x in eigensolve_block(system.stack(sector, [beta_star])))
     col = int(np.argmax(np.abs(v_ref @ v)))
     dist = np.abs(w - w[col])
     dist[col] = np.inf
@@ -142,7 +202,7 @@ def _exchange_report(sweep, track):
     kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
 
     eq19 = None
-    if system.alpha_a == system.alpha_b and beta_star > 1.1:
+    if track.block == -1 and system.alpha_a == system.alpha_b and beta_star > 1.1:
         eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star)
 
     return AnticrossingReport(
@@ -162,7 +222,7 @@ def per_report_bisection(sweep):
     """Reference ``find_anticrossings``: each exchanging track bisected on its own.
 
     Every bisection step and the final ``beta_star`` solve is a one-point
-    eigensolve of that track's block.
+    eigensolve of that track's sector.
     """
     from sidonor.spectrum import _crossing_reports
     from sidonor.spin_hamiltonian import BLOCK_ORDER

@@ -159,21 +159,23 @@ def test_uncoupled_slaved_sweep_keeps_tracks_pure():
     """Without hyperfine coupling each nuclear configuration is conserved.
 
     Every block then has exactly degenerate levels (the two nuclear
-    configurations with m_a + m_b = 0 share every electron level), where a
-    solver may return any rotation of the degenerate pair.  Each track must
-    still keep all its weight on one nuclear configuration at every beta,
-    and keep its dominant character from end to end.
+    configurations with m_a + m_b = 0 share every electron level).  At
+    alpha_a = alpha_b = 0 each block is solved in its even and odd exchange
+    sectors, whose pair states hold a nuclear configuration together with its
+    swapped one.  Each track must keep all its weight on one swap orbit
+    {(m_a, m_b), (m_b, m_a)} of nuclear configurations, in one parity, at
+    every beta, and keep its dominant character from end to end.
     """
     sweep = sweep_spectrum(0.0, 0.0)
     for track in sweep.tracks:
-        nuclear = np.array([(BASIS[i - 1].ma, BASIS[i - 1].mb) for i in track.basis])
-        configs = sorted(set(map(tuple, nuclear)))
+        assert track.parity in (1, -1)
+        orbits = [frozenset({(s.ma, s.mb), (s.mb, s.ma)}) for s in (BASIS[i - 1] for i in track.basis)]
         weights = track.vectors**2
-        per_config = np.stack(
-            [weights[:, np.all(nuclear == cfg, axis=1)].sum(axis=1) for cfg in configs], axis=1
+        per_orbit = np.stack(
+            [weights[:, [o == orbit for o in orbits]].sum(axis=1) for orbit in set(orbits)], axis=1
         )
-        assert np.all(np.abs(per_config.max(axis=1) - 1.0) <= 1e-12)
-        # the same nuclear configuration along the whole track
-        assert np.unique(per_config.argmax(axis=1)).size == 1
+        assert np.all(np.abs(per_orbit.max(axis=1) - 1.0) <= 1e-12)
+        # the same orbit along the whole track
+        assert np.unique(per_orbit.argmax(axis=1)).size == 1
     for trace in adiabatic_transfer_trace(sweep):
         assert trace.enter_label == trace.exit_label

@@ -1,11 +1,22 @@
+import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_point_tracks, per_report_bisection
+from oracles import (
+    odd_minus_one_anticrossing,
+    per_point_tracks,
+    per_report_bisection,
+    sector_of,
+    sector_rotation,
+    two_level_eigenvalues,
+)
 
 from sidonor import spectrum
 from sidonor.constants import DEFAULT_CONSTANTS, linear_grid
@@ -80,13 +91,24 @@ def test_sweep_matches_direct_diagonalization(reference_sweep):
     mu=st.one_of(st.none(), st.just(0.0), st.floats(-10.0, 10.0)),
 )
 def test_stack_is_the_block_of_build_hamiltonian(alpha_a, alpha_b, betas, mu):
+    # one whole-block sector per block at alpha_a != alpha_b, bit for bit; at
+    # alpha_a = alpha_b the even and odd sectors are R^T H R to rounding
     alpha_b = alpha_a if alpha_b is None else alpha_b
     system = spectrum._BlockSystem(alpha_a, alpha_b, mu)
-    stacks = {key: system.stack(key, betas) for key in BLOCK_ORDER}
+    stacks = {s: system.stack(s, betas) for key in BLOCK_ORDER for s in system.sectors[key]}
     for i, beta in enumerate(betas):
         p = SpinParams(alpha_a, alpha_b, beta, MU_OVER_BETA * beta if mu is None else mu)
         for block in block_decompose(build_hamiltonian(p)):
-            assert np.array_equal(bits(stacks[block.m_plus_M][i]), bits(block.matrix))
+            sectors = system.sectors[block.m_plus_M]
+            for sector in sectors:
+                h = stacks[sector][i]
+                if alpha_a != alpha_b:
+                    assert (len(sectors), sector.parity) == (1, 0)
+                    assert np.array_equal(bits(h), bits(block.matrix))
+                else:
+                    rotation = sector_rotation(sector)
+                    tol = 8 * np.finfo(float).eps * np.max(np.abs(block.matrix))
+                    assert np.max(np.abs(h - rotation.T @ block.matrix @ rotation)) <= tol
 
 
 def test_field_parts_are_the_zeeman_blocks():
@@ -173,17 +195,17 @@ def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monke
     calls = []
     match = spectrum._match
 
-    def counted(system, key, b0, v0, b1, v1, depth=0):
+    def counted(system, sector, b0, v0, b1, v1, depth=0):
         if depth == 0:
-            calls.append((key, b0))
-        return match(system, key, b0, v0, b1, v1, depth)
+            calls.append((sector, b0))
+        return match(system, sector, b0, v0, b1, v1, depth)
 
     monkeypatch.setattr(spectrum, "_match", counted)
     assert_same_tracks(alphas, grid, mu)
     calls.clear()  # the per-point loop matches every step
     sweep = sweep_spectrum(*alphas, grid, mu)
     columns = sweep.raw_columns[:, [t.block == -1 for t in sweep.tracks]]
-    steps = [np.flatnonzero(grid == b0)[0] for key, b0 in calls if key == -1]
+    steps = [np.flatnonzero(grid == b0)[0] for sector, b0 in calls if sector.block == -1]
     assert any(np.any(columns[i] != np.arange(4)) for i in steps)
 
 
@@ -388,18 +410,25 @@ def test_lockstep_bisection_property_equals_per_report_loop(alpha_a, alpha_b, st
 )
 def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alphas, grid):
     sweep = sweep_spectrum(*alphas, grid)
-    keys = []
+    sectors = []
     stack = sweep.system.stack
-    monkeypatch.setattr(sweep.system, "stack", lambda key, betas: keys.append(key) or stack(key, betas))
+    monkeypatch.setattr(
+        sweep.system, "stack", lambda sector, betas: sectors.append(sector) or stack(sector, betas)
+    )
     solves = []
     solve = spectrum.eigensolve_block
     monkeypatch.setattr(spectrum, "eigensolve_block", lambda h: solves.append(len(h)) or solve(h))
     reports = find_anticrossings(sweep)
-    exchanges = Counter(r.block for r in reports if r.partner is not None)
+    # sector labels are distinct within a block, so the entering label names the sector
+    exchanges = Counter(
+        next(s for s in sweep.system.sectors[r.block] if r.pair[0] in s.labels)
+        for r in reports
+        if r.partner is not None
+    )
     assert exchanges
-    assert Counter(keys) == {key: 17 for key in exchanges}
-    # one midpoint per report of the block in every call
-    assert sorted(solves) == sorted(n for key, n in exchanges.items() for _ in range(17))
+    assert Counter(sectors) == {sector: 17 for sector in exchanges}
+    # one midpoint per report of the sector in every call
+    assert sorted(solves) == sorted(n for n in exchanges.values() for _ in range(17))
 
 
 # --- incremental refined sweep ----------------------------------------------
@@ -446,7 +475,7 @@ def test_refine_solves_only_the_new_points(monkeypatch):
     solve = spectrum.eigensolve_block
     monkeypatch.setattr(spectrum, "eigensolve_block", lambda h: solves.append(len(h)) or solve(h))
     sweep.refine(centers)
-    assert [key for key, _ in calls] == list(BLOCK_ORDER)
+    assert [sector.block for sector, _ in calls] == list(BLOCK_ORDER)
     for _, betas in calls:
         assert np.array_equal(bits(betas), bits(new))
     assert solves == [new.size] * len(BLOCK_ORDER)
@@ -473,20 +502,193 @@ def test_reference_traces(reference_sweep):
 
 
 def test_equal_couplings_transfer_is_even_mixture():
-    # at alpha_a = alpha_b the a<->b symmetry ties |8> and |12> exactly, so no
-    # single exit label dominates; the track still abandons its |14>/|15> character
+    # at alpha_a = alpha_b the a<->b symmetry ties |8> and |12> exactly in the
+    # product basis; the odd sector holds (|8> - |12>)/sqrt2, labelled 12, and
+    # (|14> - |15>)/sqrt2, labelled 15, and its lower track goes 15 -> 12
     sweep = sweep_spectrum(0.1, 0.1)
     low = min(
-        (t for t in sweep.tracks if t.block == -1), key=lambda t: t.energies[-1]
+        (t for t in sweep.tracks if t.block == -1 and t.parity == -1), key=lambda t: t.energies[-1]
     )
-    n = sweep.beta_grid.size
-    w_hi = low.vectors[n - 1] ** 2
-    w_lo = low.vectors[0] ** 2
-    lab = {s: low.basis.index(s) for s in (8, 12, 14, 15)}
-    assert w_hi[lab[14]] + w_hi[lab[15]] > 0.99
-    assert w_lo[lab[8]] + w_lo[lab[12]] > 0.98
-    assert abs(w_lo[lab[8]] - w_lo[lab[12]]) < 1e-6
-    assert w_lo[lab[15]] < 0.05
+    assert low.basis == (12, 15)
+    assert (low.dominant(-1)[0], low.dominant(0)[0]) == (15, 12)
+    assert low.dominant(-1)[1] > 0.98 and low.dominant(0)[1] > 0.98
+
+
+# --- exchange-symmetry sectors at alpha_a = alpha_b --------------------------
+
+# alpha_a = alpha_b of the anticross-fine benchmark workload, seeds 0 and 1
+FINE_ALPHAS = (0.0633, 0.0583)
+
+
+def label_summary(sweep):
+    """The labels, kinds and count of a sweep's reports, and its trace labels.
+
+    Not ``partner``: at a two-level anticrossing the partner level is a half
+    mixture of the pair at ``beta_star`` by construction, so its dominant
+    label is a tie.
+    """
+    reports = find_anticrossings(sweep)
+    return (
+        sorted((r.block, r.pair, r.kind) for r in reports),
+        [(t.block, t.level, t.enter_label, t.exit_label) for t in adiabatic_transfer_trace(sweep)],
+    )
+
+
+@settings(max_examples=40)
+@given(
+    alpha_a=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    alpha_b=st.one_of(st.none(), st.just(0.0), st.floats(-2.0, 2.0)),  # None: alpha_b = alpha_a
+    start=st.floats(-3.0, 3.0),
+    width=st.floats(0.01, 4.0),
+    points=st.integers(1, 40),
+    mu=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
+)
+def test_sweep_keeps_every_level(alpha_a, alpha_b, start, width, points, mu):
+    # mapped back to the product basis, each block's tracks are an orthonormal
+    # eigenbasis of build_hamiltonian's block at every point, and the sorted
+    # levels move between points by at most |Cb + mu' Cm|_2 dbeta (Weyl)
+    alpha_b = alpha_a if alpha_b is None else alpha_b
+    grid = np.linspace(start, start + width, points)
+    sweep = sweep_spectrum(alpha_a, alpha_b, grid, mu)
+    slope = MU_OVER_BETA if mu is None else 0.0
+    for n, key in enumerate(BLOCK_ORDER):
+        tracks = [t for t in sweep.tracks if t.block == key]
+        assert len(tracks) == len(BLOCKS[key])
+        energies = np.column_stack([t.energies for t in tracks])
+        # (n_beta, block dim, tracks): each track's vector in the product basis
+        vectors = np.stack(
+            [t.vectors @ sector_rotation(sector_of(sweep.system, t)).T for t in tracks], axis=-1
+        )
+        for i, beta in enumerate(grid):
+            p = SpinParams(alpha_a, alpha_b, beta, slope * beta if mu is None else mu)
+            h = block_decompose(build_hamiltonian(p))[n].matrix
+            tol = 1e-12 * max(1.0, float(np.max(np.abs(h))))
+            assert abs(energies[i].sum() - np.trace(h)) <= tol
+            assert np.max(np.abs(vectors[i].T @ vectors[i] - np.eye(len(tracks)))) <= 1e-12
+            assert np.max(np.abs(vectors[i] @ np.diag(energies[i]) @ vectors[i].T - h)) <= tol
+        weyl = np.linalg.norm(spectrum._CB[key] + slope * spectrum._CM[key], 2)
+        steps = np.abs(np.diff(np.sort(energies, axis=1), axis=0))
+        scale = max(1.0, float(np.max(np.abs(energies))))
+        assert np.all(steps <= weyl * np.diff(grid)[:, None] + 1e-12 * scale)
+
+
+@settings(max_examples=50)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    betas=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8),
+    mu=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
+)
+def test_two_level_sectors_match_the_closed_form(alpha, betas, mu):
+    system = spectrum._BlockSystem(alpha, alpha, mu)
+    two_level = [s for key in BLOCK_ORDER for s in system.sectors[key] if len(s.labels) == 2]
+    assert [(s.block, s.parity) for s in two_level] == [(0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    for sector in two_level:
+        w, _ = eigensolve_block(system.stack(sector, betas))
+        rotation = sector_rotation(sector)
+        for i, beta in enumerate(betas):
+            p = SpinParams(alpha, alpha, beta, MU_OVER_BETA * beta if mu is None else mu)
+            block = block_decompose(build_hamiltonian(p))[BLOCK_ORDER.index(sector.block)].matrix
+            assert np.max(np.abs(w[i] - two_level_eigenvalues(rotation.T @ block @ rotation))) <= 1e-12
+        if sector.block == 0:  # M = m = 0 in both states: no field term at all
+            assert np.all(w == w[0])
+
+
+@settings(max_examples=15)
+@given(
+    alpha=st.one_of(st.floats(0.02, 0.5), st.floats(-0.5, -0.02)),
+    start=st.floats(0.2, 0.9),
+    stop=st.floats(1.1, 3.0),
+    points=st.integers(200, 800),
+)
+def test_odd_minus_one_anticrossing_is_the_closed_form(alpha, start, stop, points):
+    grid = np.linspace(start, stop, points)
+    beta_star, gap = odd_minus_one_anticrossing(alpha)
+    reports = {
+        r.pair: r
+        for r in find_anticrossings(sweep_spectrum(alpha, alpha, grid))
+        if r.block == -1 and r.partner is not None
+    }
+    half_bracket = 0.5 * np.max(np.diff(grid)) / 2**16  # 16 bisection steps
+    for pair in ((15, 12), (12, 15)):
+        r = reports[pair]
+        assert r.kind == "anticrossing"
+        assert abs(r.beta_star - beta_star) <= half_bracket
+        assert abs(r.min_gap - gap) <= 1e-12
+
+
+def test_eq19_gap_is_set_on_block_minus_one_reports_only():
+    # eq. 19 is the splitting of the two lowest M + m = -1 levels; at
+    # alpha = 0.1 block 0 also exchanges beyond beta = 1.1
+    reports = find_anticrossings(sweep_spectrum(0.1, 0.1))
+    assert any(r.block != -1 and r.beta_star > 1.1 for r in reports)
+    assert all(r.eq19_gap is None for r in reports if r.block != -1)
+    # mu held at -1/2 moves the block -1 odd-sector anticrossing to beta = 1.5
+    r = next(r for r in find_anticrossings(sweep_spectrum(0.1, 0.1, mu=-0.5)) if r.pair == (15, 12))
+    assert r.beta_star == pytest.approx(1.5)
+    assert r.eq19_gap == eq19_gap_dimensionless(0.1, r.beta_star)
+
+
+def in_basis_order(order):
+    """eigensolve_block on every matrix with its basis put in ``order(n)``, vectors put back."""
+    def solve(h):
+        h = np.asarray(h)
+        p = order(h.shape[-1])
+        w, v = eigensolve_block(h[..., p[:, None], p])
+        back = np.empty_like(v)
+        back[..., p, :] = v
+        return w, back
+    return solve
+
+
+@pytest.mark.parametrize("alpha", FINE_ALPHAS, ids=["seed0", "seed1"])
+def test_equal_coupling_labels_do_not_depend_on_basis_order_or_grid(monkeypatch, alpha):
+    sweep = sweep_spectrum(alpha, alpha, FINE_GRID)
+    expected = label_summary(sweep)
+    assert len(expected[0]) == 4
+    refined = sweep.refine([r.beta_star for r in find_anticrossings(sweep)])
+    assert label_summary(refined) == expected
+    assert label_summary(sweep_spectrum(alpha, alpha, linear_grid(0.2, 3.0, 4001))) == expected
+    for order in (lambda n: np.arange(n)[::-1], lambda n: np.roll(np.arange(n), 1)):
+        monkeypatch.setattr(spectrum, "eigensolve_block", in_basis_order(order))
+        assert label_summary(sweep_spectrum(alpha, alpha, FINE_GRID)) == expected
+
+
+def _openblas_kernels_selectable():
+    """numpy's BLAS is a DYNAMIC_ARCH OpenBLAS on a CPU that runs its Haswell kernels."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = next((line.split(":", 1)[1].split() for line in fh if line.startswith("flags")), [])
+    except (KeyError, TypeError, OSError):
+        return False
+    dynamic = "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+    return dynamic and {"avx", "avx2", "fma"} <= set(flags)
+
+
+@pytest.mark.skipif(
+    not _openblas_kernels_selectable(), reason="numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS on an AVX2 CPU"
+)
+def test_equal_coupling_anticross_is_the_same_on_every_openblas_kernel(tmp_path):
+    alpha = FINE_ALPHAS[0]
+    spin = {"alpha_a": alpha, "alpha_b": alpha, "beta": {"start": 0.2, "stop": 3.0, "points": 2001}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"spin": spin}))
+    src = os.path.dirname(os.path.dirname(spectrum.__file__))
+    summaries = {}
+    for kernel in ("Haswell", "Prescott", "Sandybridge"):
+        out = tmp_path / kernel
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "sidonor.cli", "anticross", "--config", str(config), "--out-dir", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        payload = json.loads((out / "anticrossings.json").read_text())
+        summaries[kernel] = (
+            sorted((r["block"], tuple(r["pair"]), r["kind"]) for r in payload["anticrossings"]),
+            [(t["block"], t["level"], t["enter_label"], t["exit_label"]) for t in payload["transfer_traces"]],
+        )
+    assert len(summaries["Haswell"][0]) == 4
+    assert summaries["Prescott"] == summaries["Haswell"] == summaries["Sandybridge"]
 
 
 # --- strong-field gap formula -----------------------------------------------

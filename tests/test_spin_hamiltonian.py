@@ -8,11 +8,14 @@ from sidonor.spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
     BLOCKS,
+    EXCHANGE_SECTORS,
     MU_OVER_BETA,
+    SWAP,
     BlockStructureError,
     SpinParams,
     block_decompose,
     build_hamiltonian,
+    sector_decompose,
 )
 
 
@@ -195,6 +198,44 @@ def test_donor_relabeling_symmetry():
     # relabeling maps every block onto itself
     for s in BASIS:
         assert BASIS[perm[s.index - 1]].m_plus_M == s.m_plus_M
+
+
+def test_exchange_sectors_of_every_block():
+    assert SWAP == {i + 1: j + 1 for i, j in enumerate(_swap_ab_permutation())}
+    labels = {key: [s.labels for s in EXCHANGE_SECTORS[key]] for key in BLOCK_ORDER}
+    # even: swap-invariant states and (|i> + |j>)/sqrt2 as min(i, j); odd: (|i> - |j>)/sqrt2 as max(i, j)
+    assert labels == {
+        0: [(4, 6, 7, 13), (10, 11)],
+        1: [(2, 5), (3, 9)],
+        -1: [(8, 14), (12, 15)],
+        2: [(1,)],
+        -2: [(16,)],
+    }
+    for key in BLOCK_ORDER:
+        assert [s.parity for s in EXCHANGE_SECTORS[key]] == [1, -1][: len(labels[key])]
+        # each orbit of the swap gives one state to the even sector and, if it is a pair, one to the odd
+        orbits = {frozenset({i, SWAP[i]}) for i in BLOCKS[key]}
+        odd = labels[key][1] if len(labels[key]) == 2 else ()
+        assert sorted(min(o) for o in orbits) == list(labels[key][0])
+        assert sorted(max(o) for o in orbits if len(o) == 2) == list(odd)
+
+
+def test_sector_decompose_is_exact_for_the_zeeman_parts():
+    # diagonal and swap-invariant: each pair state keeps its product states' entry
+    for op in (np.diag([s.M for s in BASIS]), np.diag([-(s.ma + s.mb) for s in BASIS])):
+        for block in block_decompose(op):
+            for sector, matrix in sector_decompose(block.m_plus_M, block.matrix):
+                expected = [op[label - 1, label - 1] for label in sector.labels]
+                assert np.array_equal(matrix, np.diag(expected))
+
+
+def test_sector_decompose_detects_unequal_couplings():
+    # at alpha_a != alpha_b the swap does not commute with H: an even-odd entry of (0.4 - 0.3)/4
+    block = block_decompose(build_hamiltonian(SpinParams(0.3, 0.4, beta=0.0, mu=0.0)))[2]
+    with pytest.raises(BlockStructureError, match=r"block -1: even-odd entry \(8, 12\) = "):
+        sector_decompose(-1, block.matrix)
+    equal = block_decompose(build_hamiltonian(SpinParams(0.3, 0.3, beta=0.0, mu=0.0)))[2]
+    assert [s.labels for s, _ in sector_decompose(-1, equal.matrix)] == [(8, 14), (12, 15)]
 
 
 def test_from_physical_conversion():
