@@ -13,7 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .constants import DEFAULT_CONSTANTS, MaterialParams, hyperfine_constant_A0, linear_grid
+from .constants import (
+    DEFAULT_CONSTANTS,
+    MaterialParams,
+    effective_delta_E,
+    hyperfine_constant_A0,
+    linear_grid,
+)
 from .electrostatics import GateGeometry, field_coeffs
 from .error_budget import DEFAULT_LINE_WIDTH, PlacementError
 from .hyperfine import hic_shift
@@ -119,7 +125,10 @@ def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
         raise ConfigError(f"{field_name}.points", "must be a positive integer")
     lo = _value(section["start"], kind, f"{field_name}.start")
     hi = _value(section["stop"], kind, f"{field_name}.stop")
-    return linear_grid(lo, hi, n)
+    grid = linear_grid(lo, hi, n)
+    if not all(math.isfinite(x) for x in grid):  # (hi - lo) * i can overflow
+        raise ConfigError(field_name, "grid points overflow")
+    return grid
 
 
 @dataclass
@@ -196,6 +205,12 @@ def build_run_config(data: dict) -> RunConfig:
         raise ConfigError("material.a_star", "a*^3 overflows the hyperfine shift") from None
     if not (0.0 < hyperfine_constant_A0(cfg.material)[1] < math.inf):
         raise ConfigError("material.psi0_sq", "gives no finite positive hyperfine constant")
+    try:  # the computed delta_E divides by eps_r a*, the first-order shift by delta_E
+        delta_E = effective_delta_E(cfg.material)
+    except ZeroDivisionError:
+        delta_E = math.inf
+    if not (0.0 < abs(delta_E) < math.inf):
+        raise ConfigError("material", "gives no finite nonzero delta_E")
 
     if "voltage" in data:
         cfg.voltages = _grid(data["voltage"], "voltage", "voltage")

@@ -30,12 +30,12 @@ call over the midpoints of every exchanging track of a sector, and
 the midpoint refinement of an ambiguous tracking step solves one point.
 
 Tracking is whole-grid too: one stacked product gives the |overlap| matrices
-of every pair of adjacent grid points of a sector.  Where each matrix's row
-argmax is a permutation that leads every runner-up by ``OVERLAP_AMBIGUITY``,
-that permutation is exactly what greedy matching would return, and each run
-of such steps is composed into track order by one prefix scan.  Every other
-step falls back to the greedy :func:`_match` with midpoint refinement, which
-logs a warning when it reaches the refinement depth cap still ambiguous.
+of every pair of adjacent grid points of a sector.  A step is still where
+every column's overlap with its own column at the next point leads the rest
+of its row by ``OVERLAP_AMBIGUITY``: every track keeps its column there.
+Only the other steps run the greedy :func:`_match` with midpoint refinement,
+which logs a warning when it reaches the refinement depth cap still
+ambiguous.
 """
 
 from __future__ import annotations
@@ -264,14 +264,16 @@ class _BlockSystem:
         (beta, mu) bit for bit: the same terms are added in an order that
         differs only by commuted sums, and Cm is the exact negation of the
         nuclear Zeeman operator.  C0, Cb and Cm are each exactly symmetric, so
-        every H(beta) is too and the stack needs no symmetrization.
+        every H(beta) is too and the stack needs no symmetrization.  An entry
+        that overflows is left to :func:`eigensolve_block` to refuse.
         """
         c0, cb, cm = self._parts[sector]
         col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
         mu = MU_OVER_BETA * col if self.mu is None else self.mu
-        h = col * cb
-        h += c0
-        h += mu * cm
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = col * cb
+            h += c0
+            h += mu * cm
         return h
 
 
@@ -320,26 +322,6 @@ def _match(system: _BlockSystem, sector: Sector, b0, v0, b1, v1, depth: int = 0)
     return p_right
 
 
-def _compose_runs(start, steps) -> np.ndarray:
-    """Rows r[k] = steps[k][r[k - 1]] for every k, with r[-1] = ``start``.
-
-    An identity step repeats the row before it, so only the steps that move
-    a column are composed: one inclusive prefix scan by pointer doubling,
-    about log2 of their number ``take_along_axis`` passes over their
-    (k, dim) stack of index maps.  This gives the same integers as composing
-    one step at a time.
-    """
-    steps = np.asarray(steps)
-    moves = np.flatnonzero(np.any(steps != np.arange(steps.shape[-1]), axis=-1))
-    x = np.concatenate([np.asarray(start)[None], steps[moves]])
-    d = 1
-    while d < len(x):
-        x[d:] = np.take_along_axis(x[d:], x[:-d], axis=-1)
-        d *= 2
-    # row k of the result is x after the moving steps up to and including k
-    return x[np.searchsorted(moves, np.arange(len(steps)), side="right")]
-
-
 def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vectors):
     """The tracks of ``sector`` from its eigenpairs at every grid point.
 
@@ -348,37 +330,26 @@ def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vector
     the column at grid point i that continues track t.
     """
     n, dim = energies.shape
-    perm = np.tile(np.arange(dim), (n, 1))
+    perm = np.empty((n, dim), dtype=np.intp)
+    cols = np.arange(dim)
+    first = 0  # first grid point at which the tracks sit in ``cols``
     if dim > 1:  # a one-level sector is one track as it stands
         # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
         overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
         np.abs(overlap, out=overlap)
-        best = np.argmax(overlap, axis=-1)
-        top = overlap.max(axis=-1)
-        # overwrite each row's maximum, so that the runner-up is what remains
-        np.put_along_axis(overlap, best[..., None], -1.0, axis=-1)
-        margin = top - overlap.max(axis=-1)
+        own = overlap.diagonal(axis1=-2, axis2=-1).copy()
+        overlap[:, np.arange(dim), np.arange(dim)] = -1.0  # leaves each row's other entries
+        # A step is still where every column's own overlap leads the rest
+        # of its row by OVERLAP_AMBIGUITY: greedy matching keeps every
+        # track in its column there, whatever order the tracks are in, and
+        # refines nothing.  Every other step is matched.
+        still = np.all(own - overlap.max(axis=-1) >= OVERLAP_AMBIGUITY, axis=-1)
         del overlap  # freed before the tracks are gathered, for peak memory
-        # Where each row's argmax is a different column and every row
-        # leads its runner-up by OVERLAP_AMBIGUITY, _greedy_match returns
-        # exactly these argmaxes: its first pick, the global maximum, is
-        # its row's argmax, and removing that row and column leaves every
-        # other row's argmax available; each greedy margin is over a
-        # subset of its row, so it is no smaller and nothing is refined.
-        fast = np.all(np.sort(best, axis=-1) == np.arange(dim), axis=-1)
-        fast &= np.all(margin >= OVERLAP_AMBIGUITY, axis=-1)
-        # overlaps are row-permutation invariant, so a run of fast steps
-        # composes the raw argmaxes; greedy matching is not equivariant
-        # under exact ties, so every other step matches the tracked columns
-        first = 1  # first grid point of the current run of fast steps
-        for i in (np.flatnonzero(~fast) + 1).tolist() + [n]:
-            if i > first:
-                perm[first:i] = _compose_runs(perm[first - 1], best[first - 1:i - 1])
-            if i < n:
-                perm[i] = _match(
-                    system, sector, betas[i - 1], vectors[i - 1][:, perm[i - 1]], betas[i], vectors[i]
-                )
+        for i in np.flatnonzero(~still).tolist():
+            perm[first:i + 1] = cols
+            cols = _match(system, sector, betas[i], vectors[i][:, cols], betas[i + 1], vectors[i + 1])
             first = i + 1
+    perm[first:] = cols
     rows = np.arange(n)
     tracks = [
         Track(
@@ -420,10 +391,9 @@ def sweep_spectrum(
     :func:`eigensolve_block` call over the whole grid; at alpha_a != alpha_b
     the sectors are the blocks of ``build_hamiltonian``, bit for bit.
     Adjacent points are connected through one stacked product
-    |V[:-1]^T V[1:]| of the sector's eigenvector columns: where the row
-    argmaxes of a step form a permutation and every row leads its runner-up
-    by at least ``OVERLAP_AMBIGUITY``, that permutation is the step's
-    matching, and each run of such steps is composed by one prefix scan; any
+    |V[:-1]^T V[1:]| of the sector's eigenvector columns: where every
+    column's own overlap leads the rest of its row by at least
+    ``OVERLAP_AMBIGUITY``, the step keeps every track in its column; any
     other step runs the exact greedy :func:`_match`, midpoint refinement
     included.  The tracks are bit-identical to greedy matching at every grid
     point.

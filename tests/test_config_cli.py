@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from oracles import per_row_error_budget, write_table
 
 from sidonor import cli
+from sidonor.acceptance import CriterionResult
 from sidonor.cli import main
 from sidonor.config import ConfigError, load_config, parse_number, parse_quantity, set_by_path
 from sidonor.error_budget import find_nulling_parameters
@@ -377,6 +379,15 @@ def test_validate_command_passes(capsys):
     assert "13/13" in out
 
 
+def test_validate_exits_1_on_a_failing_criterion(monkeypatch, capsys):
+    failing = CriterionResult(cid=7, title="synthetic", passed=False, detail="off by one")
+    monkeypatch.setattr(cli, "run_all", lambda: [failing])
+    assert main(["validate"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL criterion  7: synthetic -- off by one" in out
+    assert "0/1 criteria passed" in out
+
+
 def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
     from sidonor import cli
     from sidonor.spectrum import ConvergenceError
@@ -406,6 +417,32 @@ def test_overflowing_beta_grid_exits_3_with_one_stderr_line(tmp_path):
     assert not out.exists()
 
 
+def test_overflowing_linear_beta_grid_exits_2_with_one_stderr_line(tmp_path):
+    # (stop - start) * i overflows at the last point: no numpy warning may reach stderr
+    out = tmp_path / "out"
+    code, err = run_cli("spectrum", "--out-dir", str(out),
+                        "--set", 'spin.beta={"start": -2.9, "stop": 1.7e308, "points": 3}')
+    assert code == 2
+    assert err.startswith("config error: spin.beta: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hic", "error-budget", "spectrum", "anticross"])
+@pytest.mark.parametrize(
+    "override",
+    ["material.eps_r=1e-310", "material.eps_r=1.7e308", 'material.a_star="1e-310 nm"'],
+    ids=["underflowing-eps_r", "overflowing-eps_r", "underflowing-a_star"],
+)
+def test_computed_delta_E_that_is_zero_or_infinite_exits_2(tmp_path, command, override):
+    # the computed delta_E divides by eps_r a*, and the first-order shift by delta_E
+    cfg = write_config(tmp_path, STRIP_CONFIG)
+    out = tmp_path / "out"
+    code, err = run_main([command, "--config", cfg, "--out-dir", str(out), "--set", override])
+    assert code == 2
+    assert err.startswith("config error: material: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_dz_truncation_is_one_log_line_per_coefficient_mode(tmp_path):
     cfg = write_config(tmp_path, STRIP_CONFIG)
     code, err = run_cli("error-budget", "--config", cfg, "--out-dir", str(tmp_path / "out"),
@@ -420,6 +457,17 @@ def test_non_finite_spectrum_exits_3_and_writes_nothing(tmp_path, capsys):
             "--set", "spin.beta.values=[1.0,1.7e308]"]
     assert main(argv) == 3
     assert "non-convergence" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_hamiltonian_entry_exits_3_without_warnings(tmp_path, capsys):
+    # each term of H is finite, but the alpha and mu terms add up beyond the float range;
+    # pytest turns a numpy overflow warning into an error
+    out = tmp_path / "out"
+    argv = ["anticross", "--out-dir", str(out), "--set", "spin.alpha_a=1.7e308", "--set", "spin.mu=1.7e308"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -634,6 +682,72 @@ def test_error_budget_exits_0_with_finite_cells_or_2_with_one_line(payload):
         cells = [x for row in read_csv(os.path.join(out, "error_budget.csv"))[1:] for x in row
                  if x not in TEXT_CELLS]
         assert cells and all(math.isfinite(float(x)) for x in cells)
+
+
+# (path, unit) of every config entry the contract property sets; unit None is a plain number
+FUZZ_FIELDS = (
+    (("material", "a_star"), "nm"), (("material", "eps_r"), None), (("material", "psi0_sq"), "cm^-3"),
+    (("material", "Delta_E"), "eV"), (("material", "delta_E"), "eV"),
+    (("gate", "a"), "nm"), (("gate", "c"), "nm"), (("gate", "D"), "nm"),
+    (("voltage", "start"), "V"), (("voltage", "stop"), "V"),
+    (("placement", "dx"), "nm"), (("placement", "dz"), "nm"),
+    (("error_budget", "target"), None), (("error_budget", "line_width"), "kHz"),
+    (("error_budget", "ranges", "a", 1), "nm"), (("error_budget", "ranges", "c", 0), "nm"),
+    (("error_budget", "ranges", "V", 1), "V"),
+    (("spin", "alpha_a"), None), (("spin", "alpha_b"), None), (("spin", "mu"), None),
+    (("spin", "beta", "start"), None), (("spin", "beta", "stop"), None),
+)
+EXTREME_NUMBERS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e300, -1e300, 1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A README-like config with one to three entries set to an extreme value."""
+    payload = copy.deepcopy(README_CONFIG)
+    if draw(st.booleans()):
+        payload["gate"] = {"kind": "disc", "a": "5 nm", "c": "10 nm"}
+    if draw(st.booleans()):  # delta_E computed from eps_r and a_star
+        del payload["material"]["delta_E"]
+    payload["voltage"]["points"] = 3
+    payload["spin"]["beta"]["points"] = draw(st.integers(1, 12))
+    payload["error_budget"]["ranges"]["a"] = ["5 nm", "5 nm"]  # a 101-point nulling mesh
+    for path, unit in draw(st.lists(st.sampled_from(FUZZ_FIELDS), min_size=1, max_size=3, unique=True)):
+        x = draw(EXTREME_NUMBERS)
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = x if unit is None else f"{x!r} {unit}"
+    return payload
+
+
+def json_numbers(value):
+    """Every number in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in json_numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@settings(max_examples=100)
+@given(payload=fuzzed_configs(), command=st.sampled_from(["hic", "error-budget", "spectrum", "anticross"]))
+def test_extreme_configs_exit_0_with_finite_outputs_or_2_or_3(payload, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = write_config(pathlib.Path(tmp), payload)
+        out = pathlib.Path(tmp, "out")
+        code, err = run_main([command, "--config", cfg_path, "--out-dir", str(out), "--format", "json"])
+        assert code in (0, 2, 3)
+        if code:
+            assert err.splitlines()[-1].startswith(("config error: ", "numerical non-convergence: "))
+            return
+        files = sorted(out.iterdir())
+        assert files
+        for path in files:
+            numbers = json_numbers(json.loads(path.read_text(encoding="utf-8")))
+            assert all(math.isfinite(x) for x in numbers), path.name
 
 
 def test_parsers_reject_non_finite_numbers():

@@ -166,16 +166,23 @@ def test_tracking_equals_per_point_loop(alphas, mu):
     assert_same_tracks(alphas, spectrum.DEFAULT_BETA_GRID, mu)
 
 
-def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
-    # one grid step of this sweep has a row argmax that is no permutation
+def top_level_matches(monkeypatch):
+    """The (block, parity, b0) of every ``_match`` call that is no midpoint refinement."""
     calls = []
     match = spectrum._match
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return match(*args, **kwargs)
+    def counted(system, sector, b0, v0, b1, v1, depth=0):
+        if depth == 0:
+            calls.append((sector.block, sector.parity, float(b0)))
+        return match(system, sector, b0, v0, b1, v1, depth)
 
     monkeypatch.setattr(spectrum, "_match", counted)
+    return calls
+
+
+def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
+    # one grid step of this sweep is not still
+    calls = top_level_matches(monkeypatch)
     assert_same_tracks((0.01, 0.05), np.linspace(0.2, 3.0, 15), None)
     assert calls
 
@@ -188,25 +195,39 @@ def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
 
 
 def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monkeypatch):
-    # block -1 crosses in a run of fast steps, then takes one greedy step
-    # that must start from the composed track order
+    # block -1 crosses, and a later greedy step must start from the track
+    # order that the crossing left
     alphas, mu = (0.0054950483080437275, 0.0004665505263940834), 0.0005825944132083014
     grid = np.linspace(0.812464227037491, 1.870758893347987, 52)
-    calls = []
-    match = spectrum._match
-
-    def counted(system, sector, b0, v0, b1, v1, depth=0):
-        if depth == 0:
-            calls.append((sector, b0))
-        return match(system, sector, b0, v0, b1, v1, depth)
-
-    monkeypatch.setattr(spectrum, "_match", counted)
+    calls = top_level_matches(monkeypatch)
     assert_same_tracks(alphas, grid, mu)
     calls.clear()  # the per-point loop matches every step
     sweep = sweep_spectrum(*alphas, grid, mu)
     columns = sweep.raw_columns[:, [t.block == -1 for t in sweep.tracks]]
-    steps = [np.flatnonzero(grid == b0)[0] for sector, b0 in calls if sector.block == -1]
+    steps = [np.flatnonzero(grid == b0)[0] for block, _, b0 in calls if block == -1]
     assert any(np.any(columns[i] != np.arange(4)) for i in steps)
+
+
+@pytest.mark.parametrize(
+    "alphas, points", [(REFERENCE, 401), ((0.0633, 0.0633), 2001)], ids=["readme", "anticross-fine"]
+)
+def test_still_steps_run_no_matching(monkeypatch, alphas, points):
+    # both passes of `spectrum` on the README config and on a fine grid at equal couplings
+    calls = top_level_matches(monkeypatch)
+    sweep = sweep_spectrum(*alphas, linear_grid(0.2, 3.0, points))
+    sweep.refine([r.beta_star for r in find_anticrossings(sweep)])
+    assert calls == []
+
+
+def test_matching_runs_only_where_a_column_moves(monkeypatch):
+    # at alpha = mu = 0 two levels cross exactly in the step from beta = 0.998
+    calls = top_level_matches(monkeypatch)
+    sweep = sweep_spectrum(0.0, 0.0, mu=0.0)
+    grid = spectrum.DEFAULT_BETA_GRID
+    i = int(np.flatnonzero(grid == 0.998)[0])
+    assert calls == [(0, 1, 0.998), (-1, -1, 0.998)]
+    moves = np.flatnonzero(np.any(sweep.raw_columns[1:] != sweep.raw_columns[:-1], axis=1))
+    assert moves.tolist() == [i]
 
 
 @settings(max_examples=30)
@@ -221,28 +242,6 @@ def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monke
 def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu):
     grid = np.linspace(start, start + width, points)
     assert_same_tracks((alpha_a, alpha_b), grid, mu)
-
-
-@settings(max_examples=60)
-@given(
-    dim=st.integers(1, 6),
-    steps=st.one_of(
-        st.integers(1, 300),
-        st.sampled_from([2**k + d for k in range(1, 9) for d in (-1, 0, 1)]),
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_compose_runs_equals_step_by_step(dim, steps, seed):
-    rng = np.random.default_rng(seed)
-    maps = np.argsort(rng.random((steps, dim)), axis=1)
-    start = rng.permutation(dim)
-    if dim > 1 and np.array_equal(start, np.arange(dim)):
-        start = start[::-1].copy()  # a non-identity starting order
-    cols, expected = start.tolist(), []
-    for am in maps.tolist():
-        cols = [am[c] for c in cols]
-        expected.append(cols)
-    assert spectrum._compose_runs(start, maps).tolist() == expected
 
 
 def test_dominant_labels_are_the_per_point_argmax():
