@@ -9,8 +9,8 @@ Subcommands map to the three calculation families plus validation:
     validate      run the acceptance suite, one pass/fail line per criterion
 
 Outputs are deterministic: identical config + version gives byte-identical
-files.  Exit codes: 0 success, 2 configuration error, 3 numerical
-non-convergence.
+files.  Exit codes: 0 success, 1 a failing acceptance criterion (``validate``),
+2 configuration error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .spectrum import (
     ConvergenceError,
     adiabatic_transfer_trace,
     find_anticrossings,
+    refine_beta_grid,
     sweep_spectrum,
 )
 
@@ -140,11 +141,19 @@ def _write_json(path: str, payload):
         fh.write("\n")
 
 
+def _out_path(args, filename: str) -> str:
+    """The path of ``filename`` in the out dir, which is made if it is missing."""
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("--out-dir", f"cannot make directory {args.out_dir}: {exc.strerror}") from None
+    return os.path.join(args.out_dir, filename)
+
+
 def _emit(args, name: str, header: list[str], columns: list):
     """Write the table ``header``/``columns`` (one sequence per header entry) to the out dir."""
-    os.makedirs(args.out_dir, exist_ok=True)
     paths = {
-        fmt: os.path.join(args.out_dir, f"{name}.{fmt}")
+        fmt: _out_path(args, f"{name}.{fmt}")
         for fmt in ("csv", "json")
         if args.format in (fmt, "both")
     }
@@ -233,7 +242,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     # second pass: resolve the vicinity of detected (anti)crossings 10x finer
     centers = [r.beta_star for r in find_anticrossings(sweep)]
     if centers:
-        sweep = sweep.refine(centers)
+        sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refine_beta_grid(sweep.beta_grid, centers), cfg.mu)
     # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
     n_beta, n_levels = sweep.beta_grid.size, len(sweep.tracks)
     labels, weights = zip(*(t.dominants for t in sweep.tracks))
@@ -266,8 +275,7 @@ def _write_anticross(args, sweep):
         "anticrossings": [asdict(r) for r in reports],
         "transfer_traces": [asdict(t) for t in traces],
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = os.path.join(args.out_dir, "anticrossings.json")
+    path = _out_path(args, "anticrossings.json")
     _write_json(path, payload)
     print(f"wrote {path}")
 

@@ -174,8 +174,12 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> RunConf
                 data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("--config", f"file not found: {path}") from None
+        except OSError as exc:
+            raise ConfigError("--config", f"cannot read {path}: {exc.strerror}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError("--config", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError("--config", f"not UTF-8 text at byte {exc.start}: {path}") from None
         if not isinstance(data, dict):
             raise ConfigError("--config", "top level must be a JSON object")
     for assignment in overrides or []:

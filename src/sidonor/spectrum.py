@@ -24,10 +24,9 @@ basis.  On top of the tracks:
 
 Every diagonalization goes through :func:`eigensolve_block`, which runs
 LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
-makes one call per sector for the entire beta grid, each bisection step is one
-call over the midpoints of every exchanging track of a sector, and
-:meth:`SpectrumSweep.refine` solves only the points it adds to the grid.  Only
-the midpoint refinement of an ambiguous tracking step solves one point.
+makes one call per sector for the entire beta grid, and each bisection step is
+one call over the midpoints of every exchanging track of a sector.  Only the
+midpoint refinement of an ambiguous tracking step solves one point.
 
 Tracking is whole-grid too: one stacked product gives the |overlap| matrices
 of every pair of adjacent grid points of a sector.  A step is still where
@@ -152,43 +151,10 @@ class SpectrumSweep:
     beta_grid: np.ndarray
     tracks: list[Track]
     system: _BlockSystem       # the Hamiltonian the tracks were solved with
-    # (n_beta, n_tracks) int8: the eigensolver's column of each track at each
-    # point, within its sector
-    raw_columns: np.ndarray
 
     def energy_matrix(self) -> np.ndarray:
         """(n_beta, 16) matrix of all tracks in listing order."""
         return np.column_stack([t.energies for t in self.tracks])
-
-    def refine(self, centers) -> SpectrumSweep:
-        """This sweep on ``refine_beta_grid(beta_grid, centers)``, solving only the new points.
-
-        The base points' eigenpairs are taken back from the tracks, in the
-        eigensolver's column order, through ``raw_columns``; one stacked call
-        per sector solves the rest.  A stacked call gives the same bits as one
-        call per matrix, so the tracks equal those of :func:`sweep_spectrum`
-        on the refined grid bit for bit.
-        """
-        betas = refine_beta_grid(self.beta_grid, centers)
-        if betas.size == self.beta_grid.size:  # every base point is kept: nothing new
-            return self
-        base = np.searchsorted(betas, self.beta_grid)[:, None]
-        new = np.ones(betas.size, dtype=bool)
-        new[base[:, 0]] = False
-
-        def solve(sector):
-            key = (sector.block, sector.parity)
-            own = [n for n, t in enumerate(self.tracks) if (t.block, t.parity) == key]
-            dim = len(own)
-            energies = np.empty((betas.size, dim))
-            vectors = np.empty((betas.size, dim, dim))
-            energies[new], vectors[new] = eigensolve_block(self.system.stack(sector, betas[new]))
-            cols = self.raw_columns[:, own]
-            energies[base, cols] = np.column_stack([self.tracks[n].energies for n in own])
-            vectors[base, :, cols] = np.stack([self.tracks[n].vectors for n in own], axis=1)
-            return energies, vectors
-
-        return _tracked_sweep(self.system, betas, solve)
 
 
 @dataclass(frozen=True)
@@ -326,11 +292,10 @@ def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vector
     """The tracks of ``sector`` from its eigenpairs at every grid point.
 
     ``energies`` (n_beta, dim) and ``vectors`` (n_beta, dim, dim) are in the
-    eigensolver's column order.  Returns (tracks, perm), where perm[i, t] is
-    the column at grid point i that continues track t.
+    eigensolver's column order.
     """
     n, dim = energies.shape
-    perm = np.empty((n, dim), dtype=np.intp)
+    perm = np.empty((n, dim), dtype=np.intp)  # perm[i, t]: the column continuing track t at point i
     cols = np.arange(dim)
     first = 0  # first grid point at which the tracks sit in ``cols``
     if dim > 1:  # a one-level sector is one track as it stands
@@ -351,7 +316,7 @@ def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vector
             first = i + 1
     perm[first:] = cols
     rows = np.arange(n)
-    tracks = [
+    return [
         Track(
             block=sector.block,
             basis=sector.labels,
@@ -361,25 +326,6 @@ def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vector
         )
         for t in range(dim)
     ]
-    return tracks, perm
-
-
-def _tracked_sweep(system: _BlockSystem, betas, solve) -> SpectrumSweep:
-    """The sweep from ``solve(sector)``, each sector's eigenpairs on ``betas``.
-
-    A block's tracks are listed in ascending order at the first grid point;
-    the sort is stable, so on an exact tie the even sector comes first.
-    """
-    tracks, columns = [], []
-    for key in BLOCK_ORDER:
-        found = []  # (track, its column at every point)
-        for sector in system.sectors[key]:
-            sector_tracks, perm = _sector_tracks(system, sector, betas, *solve(sector))
-            found += zip(sector_tracks, perm.T)
-        found.sort(key=lambda pair: pair[0].energies[0])
-        tracks += [track for track, _ in found]
-        columns += [column for _, column in found]
-    return SpectrumSweep(betas, tracks, system, np.column_stack(columns).astype(np.int8))
 
 
 def sweep_spectrum(
@@ -401,8 +347,7 @@ def sweep_spectrum(
     ``alpha_a`` and ``alpha_b`` are the hyperfine couplings in units of J.
     ``mu=None`` ties mu to beta through the physical ratio g_N mu_N / (2 mu_B)
     (a single swept field B); a number holds mu fixed.  ``beta_grid=None`` is
-    ``DEFAULT_BETA_GRID``.  :meth:`SpectrumSweep.refine` adds points to the
-    grid without solving the existing ones again.
+    ``DEFAULT_BETA_GRID``.
     """
     betas = DEFAULT_BETA_GRID if beta_grid is None else np.asarray(beta_grid, dtype=float)
     if betas.ndim != 1 or betas.size == 0:
@@ -411,7 +356,16 @@ def sweep_spectrum(
         raise ValueError("beta_grid must be strictly ascending")
 
     system = _BlockSystem(alpha_a, alpha_b, mu)
-    return _tracked_sweep(system, betas, lambda sector: eigensolve_block(system.stack(sector, betas)))
+    tracks = []
+    for key in BLOCK_ORDER:
+        block_tracks = []
+        for sector in system.sectors[key]:
+            w, v = eigensolve_block(system.stack(sector, betas))
+            block_tracks += _sector_tracks(system, sector, betas, w, v)
+        # stable: on an exact tie at the first grid point the even sector comes first
+        block_tracks.sort(key=lambda track: track.energies[0])
+        tracks += block_tracks
+    return SpectrumSweep(betas, tracks, system)
 
 
 def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track]) -> list[AnticrossingReport]:

@@ -443,6 +443,33 @@ def test_computed_delta_E_that_is_zero_or_infinite_exits_2(tmp_path, command, ov
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["directory", "utf-16-bom"])
+def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, kind):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    code, err = run_main(["hic", "--config", str(path), "--out-dir", str(out)])
+    assert code == 2
+    assert err.startswith("config error: --config: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["hic", "anticross"])  # through _emit and _write_anticross
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_out_dir_that_is_a_file_exits_2(tmp_path, command, below):
+    (tmp_path / "notadir").write_text("kept\n", encoding="utf-8")
+    out = tmp_path / "notadir" / "x" if below else tmp_path / "notadir"
+    cfg = write_config(tmp_path, DISC_CONFIG)
+    code, err = run_main([command, "--config", cfg, "--out-dir", str(out)])
+    assert code == 2
+    assert err.startswith("config error: --out-dir: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json", "notadir"]
+    assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
+
+
 def test_dz_truncation_is_one_log_line_per_coefficient_mode(tmp_path):
     cfg = write_config(tmp_path, STRIP_CONFIG)
     code, err = run_cli("error-budget", "--config", cfg, "--out-dir", str(tmp_path / "out"),

@@ -67,10 +67,26 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def solver_columns(sweep):
+    """(n_beta, n_tracks): the eigensolver's column, within its sector, of each track at each point.
+
+    Each track's sector is solved over the whole grid once; at each point the
+    track's column is the one column whose vector has the track's bits.
+    """
+    columns = []
+    for track in sweep.tracks:
+        _, v = eigensolve_block(sweep.system.stack(sector_of(sweep.system, track), sweep.beta_grid))
+        same = np.all(bits(v) == bits(track.vectors)[:, :, None], axis=1)  # (n_beta, column)
+        assert np.all(same.sum(axis=1) == 1)
+        columns.append(np.argmax(same, axis=1))
+    return np.column_stack(columns)
+
+
 def test_sweep_matches_direct_diagonalization(reference_sweep):
     # the sweep solves build_hamiltonian's blocks, and a stacked solve gives the
     # bits of a one-matrix solve: every eigenpair is the direct one, bit for bit
     sweep = reference_sweep
+    columns = solver_columns(sweep)
     for i in range(0, sweep.beta_grid.size, 50):
         beta = sweep.beta_grid[i]
         p = SpinParams(0.3, 0.4, beta=beta, mu=MU_OVER_BETA * beta)
@@ -78,7 +94,7 @@ def test_sweep_matches_direct_diagonalization(reference_sweep):
             w, v = eigensolve_block(block.matrix)
             for t, track in enumerate(sweep.tracks):
                 if track.block == block.m_plus_M:
-                    col = sweep.raw_columns[i, t]
+                    col = columns[i, t]
                     assert bits(track.energies[i]) == bits(w[col])
                     assert np.array_equal(bits(track.vectors[i]), bits(v[:, col]))
 
@@ -203,7 +219,7 @@ def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monke
     assert_same_tracks(alphas, grid, mu)
     calls.clear()  # the per-point loop matches every step
     sweep = sweep_spectrum(*alphas, grid, mu)
-    columns = sweep.raw_columns[:, [t.block == -1 for t in sweep.tracks]]
+    columns = solver_columns(sweep)[:, [t.block == -1 for t in sweep.tracks]]
     steps = [np.flatnonzero(grid == b0)[0] for block, _, b0 in calls if block == -1]
     assert any(np.any(columns[i] != np.arange(4)) for i in steps)
 
@@ -215,7 +231,8 @@ def test_still_steps_run_no_matching(monkeypatch, alphas, points):
     # both passes of `spectrum` on the README config and on a fine grid at equal couplings
     calls = top_level_matches(monkeypatch)
     sweep = sweep_spectrum(*alphas, linear_grid(0.2, 3.0, points))
-    sweep.refine([r.beta_star for r in find_anticrossings(sweep)])
+    centers = [r.beta_star for r in find_anticrossings(sweep)]
+    sweep_spectrum(*alphas, refine_beta_grid(sweep.beta_grid, centers))
     assert calls == []
 
 
@@ -226,7 +243,8 @@ def test_matching_runs_only_where_a_column_moves(monkeypatch):
     grid = spectrum.DEFAULT_BETA_GRID
     i = int(np.flatnonzero(grid == 0.998)[0])
     assert calls == [(0, 1, 0.998), (-1, -1, 0.998)]
-    moves = np.flatnonzero(np.any(sweep.raw_columns[1:] != sweep.raw_columns[:-1], axis=1))
+    columns = solver_columns(sweep)
+    moves = np.flatnonzero(np.any(columns[1:] != columns[:-1], axis=1))
     assert moves.tolist() == [i]
 
 
@@ -354,7 +372,7 @@ def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
         for k, e in enumerate((gaps, [0.0] * 4))
     ]
     system = spectrum._BlockSystem(*REFERENCE, None)
-    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, system, np.array([[0, 1]] * 4, np.int8))
+    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, system)
     with np.errstate(over="raise"):
         reports = find_anticrossings(sweep)
     assert [(r.kind, r.pair) for r in reports] == [("crossing", (basis[0], basis[1]))]
@@ -430,60 +448,29 @@ def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alph
     assert sorted(solves) == sorted(n for n in exchanges.values() for _ in range(17))
 
 
-# --- incremental refined sweep ----------------------------------------------
+# --- refined grid -----------------------------------------------------------
 
-def assert_same_sweep(sweep, reference):
-    assert np.array_equal(bits(sweep.beta_grid), bits(reference.beta_grid))
-    assert np.array_equal(sweep.raw_columns, reference.raw_columns)
-    assert len(sweep.tracks) == len(reference.tracks)
-    for track, ref in zip(sweep.tracks, reference.tracks):
-        assert (track.block, track.basis) == (ref.block, ref.basis)
-        assert np.array_equal(bits(track.energies), bits(ref.energies))
-        assert np.array_equal(bits(track.vectors), bits(ref.vectors))
-        assert np.array_equal(track.dominants[0], ref.dominants[0])
-        assert np.array_equal(bits(track.dominants[1]), bits(ref.dominants[1]))
-
-
-@pytest.mark.parametrize(
-    "alphas, mu", [(REFERENCE, None), ((0.06, 0.06), None), ((0.0, 0.0), 0.0)],
-    ids=["readme", "equal-couplings", "bare"],
+@settings(max_examples=40)
+@given(
+    start=st.floats(-3.0, 3.0),
+    steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=30),  # >= 1e-3: <= ~1,000 points a window
+    spots=st.lists(st.floats(-0.5, 1.5), max_size=4),  # centers, as fractions of the grid's span
 )
-def test_refine_equals_sweep_of_refined_grid(alphas, mu):
-    sweep = sweep_spectrum(*alphas, mu=mu)
-    centers = [r.beta_star for r in find_anticrossings(sweep)]
-    assert centers
-    refined = sweep.refine(centers)
-    assert refined.beta_grid.size > sweep.beta_grid.size
-    # raw_columns are compared too, so a refined sweep can be refined again
-    assert_same_sweep(refined, sweep_spectrum(*alphas, refine_beta_grid(sweep.beta_grid, centers), mu))
-    if alphas == (0.0, 0.0):  # crossing tracks: the column order is no identity to recover
-        assert np.any(sweep.raw_columns != sweep.raw_columns[0])
-
-
-def test_refine_solves_only_the_new_points(monkeypatch):
-    sweep = sweep_spectrum(*REFERENCE)
-    centers = [r.beta_star for r in find_anticrossings(sweep)]
-    grid = refine_beta_grid(sweep.beta_grid, centers)
-    new = grid[~np.isin(grid, sweep.beta_grid)]
-    calls = []
-    stack = sweep.system.stack
-    monkeypatch.setattr(
-        sweep.system, "stack", lambda key, betas: calls.append((key, np.asarray(betas))) or stack(key, betas)
-    )
-    solves = []
-    solve = spectrum.eigensolve_block
-    monkeypatch.setattr(spectrum, "eigensolve_block", lambda h: solves.append(len(h)) or solve(h))
-    sweep.refine(centers)
-    assert [sector.block for sector, _ in calls] == list(BLOCK_ORDER)
-    for _, betas in calls:
-        assert np.array_equal(bits(betas), bits(new))
-    assert solves == [new.size] * len(BLOCK_ORDER)
-
-
-def test_refine_without_new_points_is_the_sweep():
-    sweep = sweep_spectrum(*REFERENCE)
-    assert sweep.refine([]) is sweep
-    assert sweep.refine([10.0]) is sweep  # outside the grid
+def test_refined_grid_keeps_the_grid_and_adds_points_only_near_centers(start, steps, spots):
+    grid = start + np.cumsum([0.0, *steps])
+    centers = [grid[0] + f * (grid[-1] - grid[0]) for f in spots]
+    refined = refine_beta_grid(grid, centers)
+    assert np.all(refined[1:] > refined[:-1])
+    assert np.all(np.isin(bits(grid), bits(refined)))
+    inside = [c for c in centers if grid[0] <= c <= grid[-1]]
+    added = refined[~np.isin(bits(refined), bits(grid))]
+    if added.size:
+        reach = spectrum.REFINE_WINDOW + 0.5 * np.min(np.diff(grid)) / spectrum.REFINE_FACTOR
+        # 1e-12: the rounding of the window ends and of the fine points
+        assert np.all(np.min(np.abs(added[:, None] - np.array(inside)), axis=1) <= reach + 1e-12)
+    outside = [c for c in centers if c not in inside]
+    for unchanged in (refine_beta_grid(grid, outside), refine_beta_grid(grid, [])):
+        assert np.array_equal(bits(unchanged), bits(grid))
 
 
 # --- adiabatic transfer trace -----------------------------------------------
@@ -644,8 +631,8 @@ def test_equal_coupling_labels_do_not_depend_on_basis_order_or_grid(monkeypatch,
     sweep = sweep_spectrum(alpha, alpha, FINE_GRID)
     expected = label_summary(sweep)
     assert len(expected[0]) == 4
-    refined = sweep.refine([r.beta_star for r in find_anticrossings(sweep)])
-    assert label_summary(refined) == expected
+    refined = refine_beta_grid(FINE_GRID, [r.beta_star for r in find_anticrossings(sweep)])
+    assert label_summary(sweep_spectrum(alpha, alpha, refined)) == expected
     assert label_summary(sweep_spectrum(alpha, alpha, linear_grid(0.2, 3.0, 4001))) == expected
     for order in (lambda n: np.arange(n)[::-1], lambda n: np.roll(np.arange(n), 1)):
         monkeypatch.setattr(spectrum, "eigensolve_block", in_basis_order(order))
