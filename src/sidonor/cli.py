@@ -142,21 +142,28 @@ def _write_json(path: str, payload):
 
 
 def _out_path(args, filename: str) -> str:
-    """The path of ``filename`` in the out dir, which is made if it is missing."""
+    """The path of ``filename`` in the out dir, which is made if it is missing.
+
+    A path that exists and is not a regular file (a directory) is refused.
+    """
     try:
         os.makedirs(args.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError("--out-dir", f"cannot make directory {args.out_dir}: {exc.strerror}") from None
-    return os.path.join(args.out_dir, filename)
+    path = os.path.join(args.out_dir, filename)
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise ConfigError("--out-dir", f"{path} exists and is not a regular file")
+    return path
+
+
+def _table_paths(args, name: str) -> dict[str, str]:
+    """{format: path} of the files of table ``name`` that ``--format`` asks for."""
+    return {fmt: _out_path(args, f"{name}.{fmt}") for fmt in ("csv", "json") if args.format in (fmt, "both")}
 
 
 def _emit(args, name: str, header: list[str], columns: list):
     """Write the table ``header``/``columns`` (one sequence per header entry) to the out dir."""
-    paths = {
-        fmt: _out_path(args, f"{name}.{fmt}")
-        for fmt in ("csv", "json")
-        if args.format in (fmt, "both")
-    }
+    paths = _table_paths(args, name)
     _write_table(paths.get("csv"), paths.get("json"), header, columns)
     for path in paths.values():
         print(f"wrote {path}")
@@ -221,6 +228,8 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
                        ((V > 0) & (dz >= 2e-9) & (dz <= 3e-9)).astype(np.int64), dv,
                        [nulling_voltage(gate, mode, cfg.material)] * V.size])
     published, recomputed = tables
+    if cfg.nulling_ranges is not None:
+        _table_paths(args, "nulling")  # refused before any file is written
     _emit(
         args,
         "error_budget",
@@ -255,18 +264,19 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         np.column_stack(weights).ravel(),
     ]
     header = ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"]
+    path = _out_path(args, "anticrossings.json")  # refused before the table is written
     _emit(args, "spectrum", header, columns)
-    _write_anticross(args, sweep)
+    _write_anticross(path, sweep)
     return 0
 
 
 def cmd_anticross(cfg: RunConfig, args) -> int:
     sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
-    _write_anticross(args, sweep)
+    _write_anticross(_out_path(args, "anticrossings.json"), sweep)
     return 0
 
 
-def _write_anticross(args, sweep):
+def _write_anticross(path: str, sweep):
     reports = find_anticrossings(sweep)
     traces = adiabatic_transfer_trace(sweep)
     # the report dataclasses define the record keys; json writes the pair
@@ -275,7 +285,6 @@ def _write_anticross(args, sweep):
         "anticrossings": [asdict(r) for r in reports],
         "transfer_traces": [asdict(t) for t in traces],
     }
-    path = _out_path(args, "anticrossings.json")
     _write_json(path, payload)
     print(f"wrote {path}")
 

@@ -22,11 +22,13 @@ basis.  On top of the tracks:
 * :func:`eq19_gap` is the strong-field closed form for the splitting of the
   two lowest M + m = -1 levels at equal hyperfine couplings.
 
-Every diagonalization goes through :func:`eigensolve_block`, which runs
-LAPACK (``np.linalg.eigh``) over a whole stack of matrices at once: a sweep
-makes one call per sector for the entire beta grid, and each bisection step is
-one call over the midpoints of every exchanging track of a sector.  Only the
-midpoint refinement of an ambiguous tracking step solves one point.
+Every diagonalization goes through :func:`eigensolve_block`, which solves a
+whole stack of matrices at once: a stack of 2 x 2 matrices (five of the eight
+sectors at alpha_a = alpha_b) in closed form, one Jacobi rotation each, and
+any other size with LAPACK (``np.linalg.eigh``).  A sweep makes one call per
+sector for the entire beta grid, and each bisection step is one call over the
+midpoints of every exchanging track of a sector.  Only the midpoint
+refinement of an ambiguous tracking step solves one point.
 
 Tracking is whole-grid too: one stacked product gives the |overlap| matrices
 of every pair of adjacent grid points of a sector.  A step is still where
@@ -83,6 +85,9 @@ class ConvergenceError(RuntimeError):
 def eigensolve_block(h):
     """Eigenvalues and orthonormal eigenvectors of a stack of symmetric matrices.
 
+    A stack of 2 x 2 matrices is solved in closed form (:func:`_eigh_2x2`),
+    any other size by LAPACK (``np.linalg.eigh``).
+
     Args:
         h: (..., n, n) array-like; every matrix must be exactly symmetric.
 
@@ -94,8 +99,9 @@ def eigensolve_block(h):
 
     Raises:
         ValueError: the matrices are not square or not exactly symmetric.
-        ConvergenceError: LAPACK failed, or the input, an eigenvalue or the
-            spread between the lowest and highest eigenvalue is not finite.
+        ConvergenceError: LAPACK failed (sizes other than 2), or the input, an
+            eigenvalue or the spread between the lowest and highest
+            eigenvalue is not finite.
     """
     a = np.asarray(h, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -104,10 +110,13 @@ def eigensolve_block(h):
         raise ConvergenceError("non-finite entry in the matrix to diagonalize")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("block must be exactly symmetric")
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigh failed: {exc}") from exc
+    if a.shape[-1] == 2:
+        w, v = _eigh_2x2(a)
+    else:
+        try:
+            w, v = np.linalg.eigh(a)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigh failed: {exc}") from exc
     if a.shape[-1] == 0:
         return w, v
     # the sweep works with level gaps, so the spectrum's width must be finite too
@@ -120,6 +129,32 @@ def eigensolve_block(h):
     k = np.argmax(np.abs(np.swapaxes(v, -1, -2), order="C"), axis=-1)[..., None, :]
     v *= np.where(np.take_along_axis(v, k, axis=-2) < 0.0, -1.0, 1.0)
     return w, v
+
+
+def _eigh_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a stack of symmetric 2 x 2 matrices, in closed form.
+
+    Each [[p, b], [b, q]] is diagonalized by one Jacobi rotation in
+    Rutishauser's form, t = sign(tau) / (|tau| + hypot(1, tau)) with
+    tau = (q - p) / 2b: no trigonometry, and exact unit vectors where b = 0,
+    as LAPACK gives them.  The eigenvalues are p - t b and q + t b with the
+    vectors (c, -s) and (s, c), swapped where the first is the larger.
+    Where q - p or 2b overflows, the true spread (at least |q - p| and 2|b|)
+    does too, and the eigenvalues or their spread come out non-finite for
+    the caller to refuse.  Where only tau overflows, t is 0, and the
+    correction t b = b^2 / (q - p) is far below an ulp of q - p.
+    """
+    p, b, q = a[..., 0, 0], a[..., 0, 1], a[..., 1, 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = (q - p) / (2.0 * b)
+        t = np.where(b == 0.0, 0.0, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)))
+        lo, hi = p - t * b, q + t * b
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s = t * c
+    w = np.stack([lo, hi], axis=-1)
+    v = np.stack([c, s, 0.0 - s, c], axis=-1).reshape(a.shape)  # 0.0 - s: +0.0 where s is 0
+    swap = (lo > hi)[..., None]
+    return np.where(swap, w[..., ::-1], w), np.where(swap[..., None], v[..., ::-1], v)
 
 
 @dataclass(frozen=True)

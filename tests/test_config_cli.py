@@ -457,7 +457,7 @@ def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, kind):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["hic", "anticross"])  # through _emit and _write_anticross
+@pytest.mark.parametrize("command", ["hic", "anticross"])  # through _emit and _out_path
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_out_dir_that_is_a_file_exits_2(tmp_path, command, below):
     (tmp_path / "notadir").write_text("kept\n", encoding="utf-8")
@@ -468,6 +468,23 @@ def test_out_dir_that_is_a_file_exits_2(tmp_path, command, below):
     assert err.startswith("config error: --out-dir: ") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["cfg.json", "notadir"]
     assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize(("command", "blocked"), [
+    ("hic", "hic.json"),
+    ("error-budget", "nulling.json"),  # the error_budget table comes first
+    ("spectrum", "spectrum.json"),
+    ("spectrum", "anticrossings.json"),  # written after the spectrum table
+    ("anticross", "anticrossings.json"),
+])
+def test_output_path_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, command, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path, STRIP_CONFIG if command == "error-budget" else DISC_CONFIG)
+    code, err = run_main([command, "--config", cfg, "--out-dir", str(out)])
+    assert code == 2
+    assert err.startswith("config error: --out-dir: ") and err.count("\n") == 1
+    assert os.listdir(out) == [blocked] and os.listdir(out / blocked) == []
 
 
 def test_dz_truncation_is_one_log_line_per_coefficient_mode(tmp_path):

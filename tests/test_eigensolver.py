@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import eig_bisect
 
 from sidonor.spectrum import (
@@ -89,6 +91,13 @@ def test_zero_and_diagonal_matrices():
     d = np.diag([3.0, -1.0, 2.0, 0.5])
     w, v = eigensolve_block(d)
     assert np.array_equal(w, np.array([-1.0, 0.5, 2.0, 3.0]))
+    # the closed-form 2 x 2 path gives LAPACK's exact unit vectors
+    for p, q in ((1.0, 2.0), (2.0, -1.0), (0.5, 0.5), (0.0, 0.0), (3.0, 3.0), (-2.5, -2.5)):
+        d = np.diag([p, q])
+        w, v = eigensolve_block(d)
+        w_ref, v_ref = np.linalg.eigh(d)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+        assert np.array_equal(np.signbit(v), np.signbit(v_ref))  # +0.0 off the diagonal
 
 
 def test_determinism():
@@ -101,7 +110,7 @@ def test_determinism():
 
 # --- stacks -------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [1, 4, 6])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_stacked_call_equals_per_matrix_calls(n):
     rng = np.random.default_rng(40 + n)
     stack = random_stack(rng, 50, n)
@@ -118,6 +127,43 @@ def test_sign_convention_on_stacks():
     w, v = eigensolve_block(random_stack(rng, 20, 6).reshape(4, 5, 6, 6))
     assert w.shape == (4, 5, 6)
     assert np.all(np.diff(w, axis=-1) >= 0.0)
+    assert_sign_convention(v)
+
+
+# eig_bisect's LDL step divides by a diagonal entry: keep non-zero ones far from underflow
+ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=40)
+@given(
+    entries=st.lists(
+        st.tuples(
+            ENTRY,
+            st.one_of(st.just(0.0), st.sampled_from([5e-324, -1e-310]), ENTRY),
+            st.one_of(st.none(), ENTRY),  # None: q = p
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(entries=[
+    (0.5, 0.0, -2.0),           # b = 0, p > q
+    (1.0, 0.0, None),           # b = 0, p = q
+    (1.0, 0.75, None),          # p = q
+    (1.0, 5e-324, 2.0),         # subnormal b
+    (-1.0, -1e-310, None),      # subnormal b, p = q
+    (1.0, 1e3, 1.0 + 2**-52),   # |b| >> |p - q|
+    (-3.0, -7e2, -3.0 - 1e-12),
+])
+def test_two_by_two_stacks_against_bisection_oracle(entries):
+    a = np.array([[[p, b], [b, p if q is None else q]] for p, b, q in entries])
+    w, v = eigensolve_block(a)
+    for m, wi, vi in zip(a, w, v):
+        scale = max(1.0, float(np.max(np.abs(m))))
+        assert np.max(np.abs(wi - eig_bisect(m))) <= 1e-12 * scale
+        assert wi[0] <= wi[1]
+        assert np.max(np.abs(vi.T @ vi - np.eye(2))) <= 1e-15
+        assert np.max(np.abs(m @ vi - vi * wi)) <= 2e-15 * scale
     assert_sign_convention(v)
 
 
@@ -151,6 +197,9 @@ def test_overflowing_eigenvalues_raise():
     a = np.full((2, 2), 1.7e308)
     with pytest.raises(ConvergenceError):
         eigensolve_block(a)
+    # finite eigenvalues whose spread overflows
+    with pytest.raises(ConvergenceError):
+        eigensolve_block(np.diag([1e308, -1e308]))
 
 
 # --- exact degeneracy at alpha = 0 -----------------------------------------------
