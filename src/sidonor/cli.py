@@ -248,7 +248,7 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
-    # second pass: resolve the vicinity of detected (anti)crossings 10x finer
+    # second pass: cut each grid step within REFINE_WINDOW of a detected (anti)crossing into ten
     centers = [r.beta_star for r in find_anticrossings(sweep)]
     if centers:
         sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refine_beta_grid(sweep.beta_grid, centers), cfg.mu)

@@ -18,6 +18,7 @@ writer in ``cli``, which must write the same bytes.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -39,14 +40,22 @@ def richardson_d2(f, x, h):
 
 
 def _count_below(a, x):
-    """Number of eigenvalues of symmetric ``a`` strictly below x (LDL inertia)."""
+    """Number of eigenvalues of symmetric ``a`` strictly below x (LDL inertia).
+
+    As in LAPACK's dstebz, a pivot below ``pivmin`` in magnitude is raised to
+    it, keeping its sign (a zero's sign bit included): the division cannot
+    overflow, and a near-singular shift miscounts by <= 1 inside a shrinking
+    bracket.
+    """
     b = np.array(a, dtype=float) - x * np.eye(len(a))
+    scale = max(1.0, float(np.max(np.abs(b))))
+    pivmin = np.finfo(float).tiny * scale * scale
     neg = 0
     n = len(b)
     for k in range(n):
         piv = b[k, k]
-        if piv == 0.0:
-            piv = 1e-300  # exact hit; miscount by <= 1 inside a shrinking bracket
+        if abs(piv) < pivmin:
+            piv = math.copysign(pivmin, piv)
         if piv < 0.0:
             neg += 1
         if k + 1 < n:

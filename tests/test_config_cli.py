@@ -794,6 +794,23 @@ def test_extreme_configs_exit_0_with_finite_outputs_or_2_or_3(payload, command):
             assert all(math.isfinite(x) for x in numbers), path.name
 
 
+@pytest.mark.parametrize("values", [
+    [0.5, 0.5000000000000011, 2.0],  # a base step of 10 ulps next to one of 1.5
+    [0.2, 1.0, 1.0000000001],
+    [1e-320, 2e-320, 1.0],  # subnormal base points
+], ids=["ulp-step", "tiny-step", "subnormal"])
+def test_refined_export_of_a_grid_with_a_close_pair_stays_in_the_grid(tmp_path, values):
+    out = tmp_path / "out"
+    code, err = run_main(["spectrum", "--out-dir", str(out), "--set", f"spin.beta.values={json.dumps(values)}"])
+    assert (code, err) == (0, "")
+    rows = read_csv(out / "spectrum.csv")[1:]
+    assert len(values) * 16 < len(rows) <= 10 * len(values) * 16  # refined, at most 10x
+    assert all(math.isfinite(float(x)) for row in rows for x in row)
+    assert all(values[0] <= float(row[0]) <= values[-1] for row in rows)
+    for name in ("spectrum.json", "anticrossings.json"):
+        assert all(math.isfinite(x) for x in json_numbers(json.loads((out / name).read_text(encoding="utf-8"))))
+
+
 def test_parsers_reject_non_finite_numbers():
     for value in (float("nan"), float("inf"), -float("inf"), 10**400):
         with pytest.raises(ConfigError, match="spin.alpha_a"):

@@ -130,8 +130,7 @@ def test_sign_convention_on_stacks():
     assert_sign_convention(v)
 
 
-# eig_bisect's LDL step divides by a diagonal entry: keep non-zero ones far from underflow
-ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+ENTRY = st.floats(-1e3, 1e3)
 
 
 @settings(max_examples=40)
@@ -154,6 +153,7 @@ ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
     (-1.0, -1e-310, None),      # subnormal b, p = q
     (1.0, 1e3, 1.0 + 2**-52),   # |b| >> |p - q|
     (-3.0, -7e2, -3.0 - 1e-12),
+    (5e-324, 1.0, None),        # subnormal diagonal: a tiny pivot in eig_bisect
 ])
 def test_two_by_two_stacks_against_bisection_oracle(entries):
     a = np.array([[[p, b], [b, p if q is None else q]] for p, b, q in entries])

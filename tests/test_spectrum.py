@@ -453,7 +453,7 @@ def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alph
 @settings(max_examples=40)
 @given(
     start=st.floats(-3.0, 3.0),
-    steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=30),  # >= 1e-3: <= ~1,000 points a window
+    steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=30),
     spots=st.lists(st.floats(-0.5, 1.5), max_size=4),  # centers, as fractions of the grid's span
 )
 def test_refined_grid_keeps_the_grid_and_adds_points_only_near_centers(start, steps, spots):
@@ -462,12 +462,22 @@ def test_refined_grid_keeps_the_grid_and_adds_points_only_near_centers(start, st
     refined = refine_beta_grid(grid, centers)
     assert np.all(refined[1:] > refined[:-1])
     assert np.all(np.isin(bits(grid), bits(refined)))
+    assert refined[0] == grid[0] and refined[-1] == grid[-1]
     inside = [c for c in centers if grid[0] <= c <= grid[-1]]
-    added = refined[~np.isin(bits(refined), bits(grid))]
-    if added.size:
-        reach = spectrum.REFINE_WINDOW + 0.5 * np.min(np.diff(grid)) / spectrum.REFINE_FACTOR
-        # 1e-12: the rounding of the window ends and of the fine points
-        assert np.all(np.min(np.abs(added[:, None] - np.array(inside)), axis=1) <= reach + 1e-12)
+    # the base interval [grid[i], grid[i + 1]) of each refined point
+    interval = np.searchsorted(grid, refined, side="right") - 1
+    added = ~np.isin(bits(refined), bits(grid))
+    w = spectrum.REFINE_WINDOW
+    # every base interval that meets a window around a center in range, and no other
+    near = [i for i in range(grid.size - 1) if any(grid[i] <= c + w and grid[i + 1] >= c - w for c in inside)]
+    assert np.unique(interval[added]).tolist() == near
+    for i in near:
+        lo, hi = grid[i], grid[i + 1]
+        points = refined[added & (interval == i)]
+        assert np.all((lo < points) & (points < hi))
+        assert points.size <= spectrum.REFINE_FACTOR - 1
+        width = (hi - lo) / spectrum.REFINE_FACTOR
+        assert np.all(np.abs(np.diff([lo, *points, hi]) / width - 1.0) <= 1e-9)
     outside = [c for c in centers if c not in inside]
     for unchanged in (refine_beta_grid(grid, outside), refine_beta_grid(grid, [])):
         assert np.array_equal(bits(unchanged), bits(grid))
