@@ -4,7 +4,7 @@ Subcommands map to the three calculation families plus validation:
 
     hic           voltage dependence of the relative hyperfine shift
     error-budget  placement/voltage error terms and nulling search
-    spectrum      16-level sweep over beta (CSV) + anticrossing report (JSON)
+    spectrum      16-level sweep over beta (table) + the anticross report
     anticross     anticrossing/crossing report only
     validate      run the acceptance suite, one pass/fail line per criterion
 
@@ -47,7 +47,6 @@ from .spectrum import (
     ConvergenceError,
     adiabatic_transfer_trace,
     find_anticrossings,
-    refine_beta_grid,
     sweep_spectrum,
 )
 
@@ -247,11 +246,8 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
+    """The sweep of the configured grid as a table, and the ``anticross`` report of that sweep."""
     sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
-    # second pass: cut each grid step within REFINE_WINDOW of a detected (anti)crossing into ten
-    centers = [r.beta_star for r in find_anticrossings(sweep)]
-    if centers:
-        sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, refine_beta_grid(sweep.beta_grid, centers), cfg.mu)
     # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
     n_beta, n_levels = sweep.beta_grid.size, len(sweep.tracks)
     labels, weights = zip(*(t.dominants for t in sweep.tracks))

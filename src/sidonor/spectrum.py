@@ -20,7 +20,9 @@ basis.  On top of the tracks:
 * :func:`adiabatic_transfer_trace` certifies which basis state each track
   turns into across the sweep, with the dominant weights at both ends.
 * :func:`eq19_gap` is the strong-field closed form for the splitting of the
-  two lowest M + m = -1 levels at equal hyperfine couplings.
+  two lowest M + m = -1 levels at equal hyperfine couplings: the lowest even
+  and the lowest odd level, which lie in different sectors and never
+  exchange.
 
 Every diagonalization goes through :func:`eigensolve_block`, which solves a
 whole stack of matrices at once: a stack of 2 x 2 matrices (five of the eight
@@ -42,6 +44,7 @@ ambiguous.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -68,9 +71,6 @@ OVERLAP_AMBIGUITY = 1e-6
 _MAX_REFINE_DEPTH = 24
 # a gap below CROSSING_TOL times the local energy scale (at least 1) is a crossing
 CROSSING_TOL = 1e-9
-# the export pass cuts each base interval within +-REFINE_WINDOW of a center into REFINE_FACTOR steps
-REFINE_WINDOW = 0.05
-REFINE_FACTOR = 10
 
 _log = logging.getLogger(__name__)
 
@@ -197,7 +197,6 @@ class AnticrossingReport:
     pair: tuple[int, int]      # (entering label at high beta, label after exchange)
     beta_star: float
     min_gap: float             # units of J; 0 for true crossings
-    eq19_gap: float | None     # strong-field closed form, where applicable
     block: int
     kind: str                  # "anticrossing" | "crossing"
     partner: int | None        # dominant label of the nearest level at beta_star
@@ -416,8 +415,7 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
     call solves their ``beta_star``; each report's midpoints depend only on
     its own values, so each report is what bisecting it alone gives.
     ``min_gap`` and ``partner`` come from the track's own sector: a level of
-    the other sector crosses it exactly.  ``eq19_gap`` is set on block -1
-    reports at alpha_a = alpha_b and beta_star > 1.1.
+    the other sector crosses it exactly.
     """
     system, betas = sweep.system, sweep.beta_grid
     key, basis = sector.block, sector.labels
@@ -462,15 +460,11 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
         partner_col = int(np.argmin(dist))
         gap = dist[partner_col]
         scale = max(1.0, float(np.max(np.abs(w[r]))))
-        eq19 = None
-        if key == -1 and system.alpha_a == system.alpha_b and beta_star[r] > 1.1:
-            eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star[r])
         reports.append(
             AnticrossingReport(
                 pair=(basis[j_hi[r]], basis[j_lo[r]]),
                 beta_star=float(beta_star[r]),
                 min_gap=float(gap),
-                eq19_gap=eq19,
                 block=key,
                 kind="anticrossing" if gap > CROSSING_TOL * scale else "crossing",
                 partner=basis[int(np.argmax(np.abs(v[r, :, partner_col])))],
@@ -516,7 +510,6 @@ def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[A
                         pair=(lab_s, lab_t),
                         beta_star=float(bstar),
                         min_gap=0.0,
-                        eq19_gap=None,
                         block=block_tracks[s].block,
                         kind="crossing",
                         partner=None,
@@ -593,30 +586,13 @@ def adiabatic_transfer_trace(sweep: SpectrumSweep) -> list[TransferTrace]:
     return traces
 
 
-def refine_beta_grid(beta_grid, centers):
-    """The base grid plus REFINE_FACTOR - 1 interior points of each interval near a center.
-
-    Used for the two-pass sweep export: a first pass locates the
-    crossing/anticrossing points, the export pass cuts every base interval
-    that meets +-REFINE_WINDOW of a center inside the grid into
-    REFINE_FACTOR equal steps.  The result is strictly ascending, holds the
-    base grid, stays within [grid[0], grid[-1]] and has at most
-    REFINE_FACTOR times the base points.
-    """
-    grid = np.asarray(beta_grid, dtype=float)
-    c = np.asarray(centers, dtype=float)
-    c = c[(grid[0] <= c) & (c <= grid[-1])]
-    lo, hi = grid[:-1, None], grid[1:, None]
-    near = np.any((lo <= c + REFINE_WINDOW) & (hi >= c - REFINE_WINDOW), axis=1)
-    k = np.arange(1, REFINE_FACTOR) / REFINE_FACTOR
-    # one unique also folds the points of intervals only a few ulps wide
-    return np.unique(np.concatenate([grid, (lo[near] + (hi[near] - lo[near]) * k).ravel()]))
-
-
 def eq19_gap_dimensionless(alpha: float, beta: float) -> float:
     """Strong-field splitting of the two lowest M+m = -1 levels, units of J.
 
     (alpha/2)^2 (1/(beta-1) - 1/beta); valid for beta >> 1 at equal couplings.
+    Eq. 19 leaves out the nuclear Zeeman term, so against levels with mu
+    slaved to beta its relative error levels off near 2 MU_OVER_BETA instead
+    of falling with beta as it does at mu = 0.
     """
     return (alpha / 2.0) ** 2 * (1.0 / (beta - 1.0) - 1.0 / beta)
 
@@ -625,18 +601,25 @@ def eq19_gap(B: float, J: float, A: float) -> tuple[float, float]:
     """Physical strong-field gap E14 - E15 = (A/2)^2/(2 mu_B B - J) - (A/2)^2/(2 mu_B B).
 
     Args:
-        B: magnetic field, T (must be > 0).
-        J: exchange energy, J (>= 0; the validity window 2 mu_B B >= 3 J is
-           enforced, which keeps the formula away from its 2 mu_B B = J pole).
-        A: common hyperfine coupling of both donors, J.
+        B: magnetic field, T (finite and > 0).
+        J: exchange energy, J (finite and >= 0; the validity window
+           2 mu_B B >= 3 J is enforced, which keeps the formula away from its
+           2 mu_B B = J pole).
+        A: common hyperfine coupling of both donors, J (finite).
 
     Returns:
         (gap, nu): splitting in joules and the transition frequency gap/h in Hz.
+
+    Raises:
+        ValueError: an argument is out of its domain (NaN included), or the
+            field is below the validity window.
     """
-    if B <= 0:
-        raise ValueError("B must be positive")
-    if J < 0:
-        raise ValueError("J must be non-negative")
+    if not (B > 0) or not math.isfinite(B):
+        raise ValueError("B must be positive and finite")
+    if not (J >= 0) or not math.isfinite(J):
+        raise ValueError("J must be non-negative and finite")
+    if not math.isfinite(A):
+        raise ValueError("A must be finite")
     zeeman = 2.0 * DEFAULT_CONSTANTS.mu_B * B
     if J > 0 and zeeman < 3.0 * J:
         raise ValueError(

@@ -163,7 +163,7 @@ def odd_minus_one_anticrossing(alpha):
 
 def _exchange_report(sweep, track):
     """One track's exchange report, bisected alone with one-point solves."""
-    from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eigensolve_block, eq19_gap_dimensionless
+    from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eigensolve_block
 
     system = sweep.system
     sector = sector_of(system, track)
@@ -210,15 +210,10 @@ def _exchange_report(sweep, track):
     scale = max(1.0, float(np.max(np.abs(w))))
     kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
 
-    eq19 = None
-    if track.block == -1 and system.alpha_a == system.alpha_b and beta_star > 1.1:
-        eq19 = eq19_gap_dimensionless(system.alpha_a, beta_star)
-
     return AnticrossingReport(
         pair=(enter_label, exit_label),
         beta_star=float(beta_star),
         min_gap=float(gap),
-        eq19_gap=eq19,
         block=track.block,
         kind=kind,
         partner=partner,

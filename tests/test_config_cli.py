@@ -207,6 +207,29 @@ def test_error_budget_empty_ranges_warn_but_succeed(tmp_path, caplog):
     assert (out / "nulling.json").read_text(encoding="utf-8") == "[]\n"
 
 
+@pytest.mark.parametrize("overrides", [
+    [],
+    ["spin.alpha_a=0.0583", "spin.alpha_b=0.0583"],
+    ["spin.alpha_a=0.3", "spin.alpha_b=0.3"],
+    ["spin.beta.values=[0.5, 1.5]"],
+], ids=["readme", "equal-0.0583", "equal-0.3", "two-betas"])
+def test_spectrum_is_anticross_plus_the_table_of_the_configured_grid(tmp_path, overrides):
+    cfg = write_config(tmp_path, README_CONFIG)
+    sets = [arg for o in overrides for arg in ("--set", o)]
+    for command in ("spectrum", "anticross"):
+        assert run_main([command, "--config", cfg, "--out-dir", str(tmp_path / command), *sets]) == (0, "")
+    report = (tmp_path / "spectrum" / "anticrossings.json").read_bytes()
+    assert report == (tmp_path / "anticross" / "anticrossings.json").read_bytes()
+    rows = read_csv(tmp_path / "spectrum" / "spectrum.csv")[1:]
+    grid = load_config(cfg, overrides).beta_grid
+    assert [float(row[0]) for row in rows] == np.repeat(grid, 16).tolist()
+    # each level's dominant states at the last and the first beta are its trace's labels
+    for trace in json.loads(report)["transfer_traces"]:
+        level = trace["level"]
+        assert int(rows[-17 + level][4]) == trace["enter_label"]
+        assert int(rows[level - 1][4]) == trace["exit_label"]
+
+
 def test_spectrum_command(tmp_path):
     payload = {
         "spin": {
@@ -223,17 +246,13 @@ def test_spectrum_command(tmp_path):
     assert rows[0] == ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"]
     betas = sorted({float(r[0]) for r in rows[1:]})
     assert len(rows) == 1 + len(betas) * 16
-    # second pass refines the vicinity of the detected anticrossings 10x
-    assert len(betas) > 57
-    base_step = (3.0 - 0.2) / 56
-    near_one = [b for b in betas if 0.95 < b < 1.05]
-    assert len(near_one) > 0.1 / base_step
+    assert betas == load_config(cfg).beta_grid  # the configured grid, no more
     report = json.loads((out / "anticrossings.json").read_text())
     pairs = {tuple(r["pair"]) for r in report["anticrossings"] if r["kind"] == "anticrossing"}
     assert (15, 12) in pairs and (13, 10) in pairs
     assert len(report["transfer_traces"]) == 16
-    report_keys = {"pair", "beta_star", "min_gap", "eq19_gap", "block", "kind", "partner",
-                   "enter_weight", "exit_weight"}
+    report_keys = {"pair", "beta_star", "min_gap", "block", "kind", "partner", "enter_weight",
+                   "exit_weight"}
     trace_keys = {"block", "level", "enter_label", "exit_label", "enter_weight", "exit_weight",
                   "conclusive"}
     assert all(set(r) == report_keys for r in report["anticrossings"])
@@ -804,9 +823,9 @@ def test_refined_export_of_a_grid_with_a_close_pair_stays_in_the_grid(tmp_path, 
     code, err = run_main(["spectrum", "--out-dir", str(out), "--set", f"spin.beta.values={json.dumps(values)}"])
     assert (code, err) == (0, "")
     rows = read_csv(out / "spectrum.csv")[1:]
-    assert len(values) * 16 < len(rows) <= 10 * len(values) * 16  # refined, at most 10x
+    assert len(rows) == 16 * len(values)
     assert all(math.isfinite(float(x)) for row in rows for x in row)
-    assert all(values[0] <= float(row[0]) <= values[-1] for row in rows)
+    assert [float(row[0]) for row in rows] == np.repeat(values, 16).tolist()
     for name in ("spectrum.json", "anticrossings.json"):
         assert all(math.isfinite(x) for x in json_numbers(json.loads((out / name).read_text(encoding="utf-8"))))
 

@@ -15,5 +15,4 @@ def test_readme_library_example_runs_and_finds_the_stated_transfers():
     reports = namespace["reports"]
     assert sorted(r.pair for r in reports) == [(13, 10), (15, 12)]
     assert all(0.8 < r.beta_star < 1.2 for r in reports)
-    assert namespace["fine"].beta_grid.size > namespace["sweep"].beta_grid.size
     assert len(namespace["table"]) > 0

@@ -28,7 +28,6 @@ from sidonor.spectrum import (
     eq19_gap,
     eq19_gap_dimensionless,
     find_anticrossings,
-    refine_beta_grid,
     spin_transfer_reports,
     sweep_spectrum,
 )
@@ -224,15 +223,20 @@ def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monke
     assert any(np.any(columns[i] != np.arange(4)) for i in steps)
 
 
+def with_fine_window(grid):
+    """A uniform ``grid`` plus points a tenth of its step apart on [0.8, 1.2], around beta = 1."""
+    return np.union1d(grid, np.arange(0.8, 1.2, (grid[1] - grid[0]) / 10))
+
+
 @pytest.mark.parametrize(
     "alphas, points", [(REFERENCE, 401), ((0.0633, 0.0633), 2001)], ids=["readme", "anticross-fine"]
 )
 def test_still_steps_run_no_matching(monkeypatch, alphas, points):
-    # both passes of `spectrum` on the README config and on a fine grid at equal couplings
+    # the README config and a fine grid at equal couplings, each on its uniform grid and a non-uniform one
     calls = top_level_matches(monkeypatch)
-    sweep = sweep_spectrum(*alphas, linear_grid(0.2, 3.0, points))
-    centers = [r.beta_star for r in find_anticrossings(sweep)]
-    sweep_spectrum(*alphas, refine_beta_grid(sweep.beta_grid, centers))
+    grid = np.array(linear_grid(0.2, 3.0, points))
+    for betas in (grid, with_fine_window(grid)):
+        sweep_spectrum(*alphas, betas)
     assert calls == []
 
 
@@ -448,41 +452,6 @@ def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alph
     assert sorted(solves) == sorted(n for n in exchanges.values() for _ in range(17))
 
 
-# --- refined grid -----------------------------------------------------------
-
-@settings(max_examples=40)
-@given(
-    start=st.floats(-3.0, 3.0),
-    steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=30),
-    spots=st.lists(st.floats(-0.5, 1.5), max_size=4),  # centers, as fractions of the grid's span
-)
-def test_refined_grid_keeps_the_grid_and_adds_points_only_near_centers(start, steps, spots):
-    grid = start + np.cumsum([0.0, *steps])
-    centers = [grid[0] + f * (grid[-1] - grid[0]) for f in spots]
-    refined = refine_beta_grid(grid, centers)
-    assert np.all(refined[1:] > refined[:-1])
-    assert np.all(np.isin(bits(grid), bits(refined)))
-    assert refined[0] == grid[0] and refined[-1] == grid[-1]
-    inside = [c for c in centers if grid[0] <= c <= grid[-1]]
-    # the base interval [grid[i], grid[i + 1]) of each refined point
-    interval = np.searchsorted(grid, refined, side="right") - 1
-    added = ~np.isin(bits(refined), bits(grid))
-    w = spectrum.REFINE_WINDOW
-    # every base interval that meets a window around a center in range, and no other
-    near = [i for i in range(grid.size - 1) if any(grid[i] <= c + w and grid[i + 1] >= c - w for c in inside)]
-    assert np.unique(interval[added]).tolist() == near
-    for i in near:
-        lo, hi = grid[i], grid[i + 1]
-        points = refined[added & (interval == i)]
-        assert np.all((lo < points) & (points < hi))
-        assert points.size <= spectrum.REFINE_FACTOR - 1
-        width = (hi - lo) / spectrum.REFINE_FACTOR
-        assert np.all(np.abs(np.diff([lo, *points, hi]) / width - 1.0) <= 1e-9)
-    outside = [c for c in centers if c not in inside]
-    for unchanged in (refine_beta_grid(grid, outside), refine_beta_grid(grid, [])):
-        assert np.array_equal(bits(unchanged), bits(grid))
-
-
 # --- adiabatic transfer trace -----------------------------------------------
 
 def test_reference_traces(reference_sweep):
@@ -612,16 +581,47 @@ def test_odd_minus_one_anticrossing_is_the_closed_form(alpha, start, stop, point
         assert abs(r.min_gap - gap) <= 1e-12
 
 
-def test_eq19_gap_is_set_on_block_minus_one_reports_only():
-    # eq. 19 is the splitting of the two lowest M + m = -1 levels; at
-    # alpha = 0.1 block 0 also exchanges beyond beta = 1.1
-    reports = find_anticrossings(sweep_spectrum(0.1, 0.1))
-    assert any(r.block != -1 and r.beta_star > 1.1 for r in reports)
-    assert all(r.eq19_gap is None for r in reports if r.block != -1)
-    # mu held at -1/2 moves the block -1 odd-sector anticrossing to beta = 1.5
-    r = next(r for r in find_anticrossings(sweep_spectrum(0.1, 0.1, mu=-0.5)) if r.pair == (15, 12))
-    assert r.beta_star == pytest.approx(1.5)
-    assert r.eq19_gap == eq19_gap_dimensionless(0.1, r.beta_star)
+@pytest.mark.parametrize("ratio", [0.5, 0.75, 0.9, 1.5])
+def test_weak_coupling_exchanges_follow_the_scaling_law(ratio):
+    # H is linear in the couplings (ratio * s, s) at fixed beta, and at s = 0
+    # the block -1 and block 0 levels meet at beta0: on the grid beta0 +- 40 s,
+    # (beta_star - beta0) / s and min_gap / s converge at O(s) as s -> 0.
+    # Only exchanges that enter with weight >= 0.6 have a half-transfer point
+    # that the law fixes.
+    beta0 = 1.0 / (1.0 + MU_OVER_BETA)
+    scales = (4e-3, 4e-4, 4e-5)
+    scaled = []  # {(block, pair): ((beta_star - beta0) / s, min_gap / s)} at each s
+    for s in scales:
+        grid = np.linspace(beta0 - 40 * s, beta0 + 40 * s, 2001)
+        reports = find_anticrossings(sweep_spectrum(ratio * s, s, grid))
+        scaled.append({
+            (r.block, r.pair): np.array([(r.beta_star - beta0) / s, r.min_gap / s])
+            for r in reports
+            if r.kind == "anticrossing" and r.enter_weight >= 0.6
+        })
+    assert scaled[0] and scaled[0].keys() == scaled[1].keys() == scaled[2].keys()
+    for key in scaled[0]:
+        first, second, third = (x[key] for x in scaled)
+        # each tenfold smaller s moves the values about ten times less; 1e-6 is
+        # the bisection bracket (about 3e-7 in units of s)
+        assert np.all(np.abs(second - first) <= scales[0])
+        assert np.all(np.abs(third - second) <= 0.15 * np.abs(second - first) + 1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05])
+def test_eq19_is_the_split_of_the_lowest_even_and_odd_block_minus_one_tracks(alpha):
+    # eq. 19 splits the lowest M + m = -1 levels of the two sectors, which never
+    # exchange; mu = 0, since eq. 19 leaves out the nuclear Zeeman term
+    betas = [5.0, 10.0, 20.0]
+    sweep = sweep_spectrum(alpha, alpha, betas, mu=0.0)
+    lowest = {
+        parity: np.min([t.energies for t in sweep.tracks if t.block == -1 and t.parity == parity], axis=0)
+        for parity in (1, -1)
+    }
+    closed = np.array([eq19_gap_dimensionless(alpha, beta) for beta in betas])
+    rels = np.abs(lowest[1] - lowest[-1] - closed) / closed
+    assert rels[0] < 2e-4
+    assert np.all(rels[1:] < rels[:-1] / 3.0)  # falls about as 1/beta^2
 
 
 def in_basis_order(order):
@@ -641,8 +641,7 @@ def test_equal_coupling_labels_do_not_depend_on_basis_order_or_grid(monkeypatch,
     sweep = sweep_spectrum(alpha, alpha, FINE_GRID)
     expected = label_summary(sweep)
     assert len(expected[0]) == 4
-    refined = refine_beta_grid(FINE_GRID, [r.beta_star for r in find_anticrossings(sweep)])
-    assert label_summary(sweep_spectrum(alpha, alpha, refined)) == expected
+    assert label_summary(sweep_spectrum(alpha, alpha, with_fine_window(FINE_GRID))) == expected
     assert label_summary(sweep_spectrum(alpha, alpha, linear_grid(0.2, 3.0, 4001))) == expected
     for order in (lambda n: np.arange(n)[::-1], lambda n: np.roll(np.arange(n), 1)):
         monkeypatch.setattr(spectrum, "eigensolve_block", in_basis_order(order))
@@ -726,3 +725,7 @@ def test_eq19_domain_errors():
         eq19_gap(B=-1.0, J=1e-25, A=1e-26)
     with pytest.raises(ValueError):
         eq19_gap(B=1.0, J=-1e-25, A=1e-26)
+    for bad in ({"B": np.nan}, {"J": np.nan}, {"A": np.nan}, {"B": np.inf}, {"J": np.inf},
+                {"A": np.inf}, {"A": -np.inf}):
+        with pytest.raises(ValueError):
+            eq19_gap(**{"B": 1.0, "J": 1e-25, "A": 1e-26, **bad})
