@@ -121,7 +121,7 @@ def _grid(section: dict, field_name: str, kind: str | None) -> list[float]:
         if key not in section:
             raise ConfigError(f"{field_name}.{key}", "required for a grid")
     n = section["points"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ConfigError(f"{field_name}.points", "must be a positive integer")
     lo = _value(section["start"], kind, f"{field_name}.start")
     hi = _value(section["stop"], kind, f"{field_name}.stop")
@@ -287,5 +287,10 @@ def build_run_config(data: dict) -> RunConfig:
             raise ConfigError("spin.beta", "grid must be strictly ascending")
     if "mu" in spin and spin["mu"] != "slaved":
         cfg.mu = parse_number(spin["mu"], "spin.mu")
+    # a beta range within one ulp of the field-free terms leaves every H(beta) the same matrix
+    fixed = max(abs(cfg.alpha_a), abs(cfg.alpha_b), 0.0 if cfg.mu is None else abs(cfg.mu))
+    span = cfg.beta_grid[-1] - cfg.beta_grid[0]
+    if len(cfg.beta_grid) > 1 and not (span > math.ulp(fixed)):
+        raise ConfigError("spin", f"beta range {span!r} is within one ulp of the largest fixed term {fixed!r}")
 
     return cfg

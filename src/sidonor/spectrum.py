@@ -2,10 +2,10 @@
 
 A sweep diagonalizes each conserved-projection block on a beta grid and
 connects eigenvectors between adjacent grid points by maximal overlap
-("adiabatic tracks").  At alpha_a = alpha_b each block is solved and tracked
-as its even and odd exchange-symmetry sectors instead (see
-:class:`_BlockSystem`); a track's labels are then those of its sector's
-basis.  On top of the tracks:
+("adiabatic tracks").  Where the donor swap commutes with H to rounding
+(:func:`solver_sectors`), each block is solved and tracked as its even and
+odd exchange-symmetry sectors instead; a track's labels are then those of
+its sector's basis.  On top of the tracks:
 
 * :func:`find_anticrossings` locates level crossings (sign changes of a
   track-pair gap, only possible for uncoupled pairs) and anticrossings.
@@ -26,7 +26,7 @@ basis.  On top of the tracks:
 
 Every diagonalization goes through :func:`eigensolve_block`, which solves a
 whole stack of matrices at once: a stack of 2 x 2 matrices (five of the eight
-sectors at alpha_a = alpha_b) in closed form, one Jacobi rotation each, and
+exchange sectors) in closed form, one Jacobi rotation each, and
 any other size with LAPACK (``np.linalg.eigh``).  A sweep makes one call per
 sector for the entire beta grid, and each bisection step is one call over the
 midpoints of every exchanging track of a sector.  Only the midpoint
@@ -46,7 +46,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -55,14 +55,14 @@ from .spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
     MU_OVER_BETA,
-    WHOLE_BLOCKS,
     _ZEEMAN_E,
     _ZEEMAN_N,
     Sector,
     SpinParams,
+    _rotate,
     block_decompose,
     build_hamiltonian,
-    sector_decompose,
+    solver_sectors,
 )
 
 DEFAULT_BETA_GRID = np.array(linear_grid(0.2, 3.0, 401))
@@ -220,42 +220,30 @@ _CB = {b.m_plus_M: b.matrix for b in block_decompose(_ZEEMAN_E)}
 _CM = {b.m_plus_M: b.matrix for b in block_decompose(-_ZEEMAN_N)}
 
 
-@cache
-def _exchange_fields(key: int) -> tuple[list, list]:
-    """Cb and Cm of the exchange sectors of block ``key``, rotated once: they are free of alpha."""
-    return sector_decompose(key, _CB[key]), sector_decompose(key, _CM[key])
-
-
 class _BlockSystem:
     """Per-sector Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
 
     C0 holds the blocks of ``build_hamiltonian`` at beta = mu = 0.  ``mu=None``
     slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
 
-    ``sectors[key]`` lists the sectors that block ``key`` is solved in.  At
-    alpha_a != alpha_b that is the whole block in its product basis.  At
-    alpha_a = alpha_b the donor swap commutes with H, and the block is split
-    into its even and odd sectors (``sector_decompose``): C0, Cb and Cm are
-    rotated term by term, and the even-odd entries, at most rounding, are
-    dropped, so the two sectors are solved and tracked apart.
+    ``sectors[key]`` lists the sectors that block ``key`` is solved in, as
+    :func:`solver_sectors` chooses them from C0: the even and odd exchange
+    sectors where the donor swap commutes with H to rounding, else the whole
+    block in its product basis.  C0, Cb and Cm are rotated into each sector
+    term by term, which is a bitwise identity for a whole block; the dropped
+    even-odd entries are at most rounding, so two sectors are solved and
+    tracked apart.
     """
 
     def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
         self.alpha_a, self.alpha_b, self.mu = alpha_a, alpha_b, mu
-        c0 = {
-            b.m_plus_M: b.matrix
-            for b in block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))
-        }
-        self.sectors: dict[int, tuple[Sector, ...]] = {}
+        blocks = block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))
+        self.sectors: dict[int, tuple[Sector, ...]] = solver_sectors(blocks)
         self._parts: dict[Sector, list[np.ndarray]] = {}  # C0, Cb and Cm of each sector
-        for key in BLOCK_ORDER:
-            if alpha_a == alpha_b:
-                parts = [sector_decompose(key, c0[key]), *_exchange_fields(key)]
-            else:
-                parts = [[(WHOLE_BLOCKS[key], m)] for m in (c0[key], _CB[key], _CM[key])]
-            self.sectors[key] = tuple(sector for sector, _ in parts[0])
-            for sector, *matrices in zip(self.sectors[key], *parts):
-                self._parts[sector] = [m for _, m in matrices]
+        for block in blocks:
+            key = block.m_plus_M
+            for sector in self.sectors[key]:
+                self._parts[sector] = [_rotate(m, sector, sector) for m in (block.matrix, _CB[key], _CM[key])]
 
     def stack(self, sector: Sector, betas) -> np.ndarray:
         """(n_beta, d, d) matrices of ``sector`` at every beta.
@@ -368,8 +356,8 @@ def sweep_spectrum(
     """Diagonalize all sectors over the beta grid with adiabatic continuation.
 
     Each sector (see :class:`_BlockSystem`) is one stacked
-    :func:`eigensolve_block` call over the whole grid; at alpha_a != alpha_b
-    the sectors are the blocks of ``build_hamiltonian``, bit for bit.
+    :func:`eigensolve_block` call over the whole grid; a whole-block sector
+    is the block of ``build_hamiltonian``, bit for bit.
     Adjacent points are connected through one stacked product
     |V[:-1]^T V[1:]| of the sector's eigenvector columns: where every
     column's own overlap leads the rest of its row by at least

@@ -16,6 +16,8 @@ blocks, sizes 6, 4, 4, 1, 1 for M + m = 0, +1, -1, +2, -2.
 At alpha_a = alpha_b the donor swap (Ma, Mb, ma, mb) -> (Mb, Ma, mb, ma)
 commutes with H as well, and each block splits again into an even and an
 odd exchange-symmetry sector, sizes 4 + 2, 2 + 2, 2 + 2, 1 + 0 and 1 + 0.
+:func:`solver_sectors` holds the one rule for when a config is solved in
+these sectors: its even-odd entries are rounding (``SWAP_ROUNDING``).
 """
 
 from __future__ import annotations
@@ -247,21 +249,25 @@ def _rotate(c: np.ndarray, rows: Sector, cols: Sector) -> np.ndarray:
     return x * norm
 
 
-def sector_decompose(key: int, matrix: np.ndarray) -> list[tuple[Sector, np.ndarray]]:
-    """Split the swap-invariant matrix of block ``key`` into its sector matrices.
+# even-odd entries up to this many ulps of their block's largest entry are rounding;
+# set from a probe of sweep_spectrum(a, b) against sweep_spectrum(b, a)
+SWAP_ROUNDING = 1e4
 
-    Raises :class:`BlockStructureError` if an entry between the even and the
-    odd sector is more than rounding (8 ulp of the block's largest entry);
-    the entries that pass are dropped, so the sectors are exactly decoupled.
+
+def solver_sectors(blocks: list[Block]) -> dict[int, tuple[Sector, ...]]:
+    """The sectors that each block is solved in, from the blocks of H at beta = mu = 0.
+
+    The field terms commute with the donor swap, so the swap commutes with H
+    when it commutes with these blocks.  Where every even-odd entry is at
+    most ``SWAP_ROUNDING`` ulps of its block's largest entry, that is
+    rounding and each block is solved as its exchange sectors; otherwise
+    each block is solved whole.  An entry that overflows is no rounding.
     """
-    sectors = EXCHANGE_SECTORS[key]
-    if len(sectors) == 2:
-        cross = _rotate(matrix, *sectors)
-        large = np.abs(cross) > 8.0 * np.finfo(float).eps * np.max(np.abs(matrix))
-        if np.any(large):
-            i, j = np.argwhere(large)[0].tolist()
-            raise BlockStructureError(
-                f"block {key}: even-odd entry ({sectors[0].labels[i]}, "
-                f"{sectors[1].labels[j]}) = {cross[i, j]} is more than rounding"
-            )
-    return [(sector, _rotate(matrix, sector, sector)) for sector in sectors]
+    for block in blocks:
+        sectors = EXCHANGE_SECTORS[block.m_plus_M]
+        if len(sectors) == 2:
+            with np.errstate(over="ignore", invalid="ignore"):
+                cross = np.abs(_rotate(block.matrix, *sectors))
+            if not np.all(cross <= SWAP_ROUNDING * np.finfo(float).eps * np.max(np.abs(block.matrix))):
+                return {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+    return EXCHANGE_SECTORS

@@ -230,6 +230,25 @@ def test_spectrum_is_anticross_plus_the_table_of_the_configured_grid(tmp_path, o
         assert int(rows[level - 1][4]) == trace["exit_label"]
 
 
+def anticross_labels(tmp_path, alpha_a, alpha_b):
+    """(block, pair, kind) of each report and (block, enter, exit) of each trace of ``anticross``."""
+    out = tmp_path / f"{alpha_a!r}-{alpha_b!r}"
+    sets = ["--set", f"spin.alpha_a={alpha_a!r}", "--set", f"spin.alpha_b={alpha_b!r}"]
+    assert run_main(["anticross", "--out-dir", str(out), *sets]) == (0, "")
+    payload = json.loads((out / "anticrossings.json").read_text())
+    return (
+        [(r["block"], r["pair"], r["kind"]) for r in payload["anticrossings"]],
+        [(t["block"], t["enter_label"], t["exit_label"]) for t in payload["transfer_traces"]],
+    )
+
+
+def test_couplings_one_rounding_apart_give_the_equal_coupling_labels(tmp_path):
+    equal = anticross_labels(tmp_path, 0.3, 0.3)
+    assert len(equal[0]) == 5
+    assert anticross_labels(tmp_path, 0.3, 0.30000000000000004) == equal
+    assert anticross_labels(tmp_path, 0.30000000000000004, 0.3) == equal
+
+
 def test_spectrum_command(tmp_path):
     payload = {
         "spin": {
@@ -527,7 +546,9 @@ def test_overflowing_hamiltonian_entry_exits_3_without_warnings(tmp_path, capsys
     # each term of H is finite, but the alpha and mu terms add up beyond the float range;
     # pytest turns a numpy overflow warning into an error
     out = tmp_path / "out"
-    argv = ["anticross", "--out-dir", str(out), "--set", "spin.alpha_a=1.7e308", "--set", "spin.mu=1.7e308"]
+    # on one beta: a grid that the field-free terms swamp is refused as a config error first
+    argv = ["anticross", "--out-dir", str(out), "--set", "spin.alpha_a=1.7e308", "--set", "spin.mu=1.7e308",
+            "--set", "spin.beta.values=[1.0]"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical non-convergence: ") and err.count("\n") == 1
@@ -586,6 +607,11 @@ def test_overflowing_hamiltonian_entry_exits_3_without_warnings(tmp_path, capsys
          "placement.dx"),
         (README_CONFIG, "error-budget",
          ['placement.dx="1e200 m"', 'placement.dz="1e302 m"', 'voltage.values=["0.5 V"]'], "placement.dx"),
+        (README_CONFIG, "anticross", "spin.beta.points=true", "spin.beta.points"),
+        (README_CONFIG, "hic", "voltage.points=true", "voltage.points"),
+        # beta's range of 2.8 lies within one ulp of a coupling or a fixed mu of 1e300
+        (README_CONFIG, "anticross", "spin.alpha_a=1e300", "spin"),
+        (README_CONFIG, "anticross", "spin.mu=1e300", "spin"),
     ],
     ids=["nan-alpha", "nan-gate-length", "descending-beta", "infinite-mu", "disc-error-budget",
          "negative-voltage", "placement-not-object", "ranges-not-object", "inverted-range",
@@ -598,7 +624,8 @@ def test_overflowing_hamiltonian_entry_exits_3_without_warnings(tmp_path, capsys
          "unknown-ranges-key", "unknown-spin-key", "unknown-spin.beta-key", "zero-delta_E",
          "overflowing-dx2-term", "overflowing-dx2", "overflowing-dz-term", "overflowing-a_star",
          "overflowing-recomputed-dx2-term", "tiny-voltage-row-first", "overflowing-dx2-row-first",
-         "overflowing-dx-before-dz-term"],
+         "overflowing-dx-before-dz-term", "boolean-beta-points", "boolean-voltage-points",
+         "coupling-swamps-field", "fixed-mu-swamps-field"],
 )
 def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
     tmp_path, capsys, base, command, override, field

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     odd_minus_one_anticrossing,
@@ -35,7 +35,11 @@ from sidonor.spin_hamiltonian import (
     BASIS,
     BLOCK_ORDER,
     BLOCKS,
+    EXCHANGE_SECTORS,
     MU_OVER_BETA,
+    SWAP,
+    SWAP_ROUNDING,
+    WHOLE_BLOCKS,
     SpinParams,
     block_decompose,
     build_hamiltonian,
@@ -105,25 +109,40 @@ def test_sweep_matches_direct_diagonalization(reference_sweep):
     betas=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12),
     mu=st.one_of(st.none(), st.just(0.0), st.floats(-10.0, 10.0)),
 )
+@example(alpha_a=0.3, alpha_b=0.30000000000000004, betas=[1.0], mu=None)  # one ulp apart: sectors
 def test_stack_is_the_block_of_build_hamiltonian(alpha_a, alpha_b, betas, mu):
-    # one whole-block sector per block at alpha_a != alpha_b, bit for bit; at
-    # alpha_a = alpha_b the even and odd sectors are R^T H R to rounding
+    # the rule's path: exchange sectors where every even-odd entry of the field-free blocks is
+    # within SWAP_ROUNDING ulps of its block's largest entry, give or take the rounding of a
+    # product with sector_rotation, else whole blocks
     alpha_b = alpha_a if alpha_b is None else alpha_b
     system = spectrum._BlockSystem(alpha_a, alpha_b, mu)
+    split = system.sectors == EXCHANGE_SECTORS
+    assert split or system.sectors == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+    ulps = max(map(even_odd_ulps, block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))))
+    assert ulps <= SWAP_ROUNDING + 8 if split else ulps > SWAP_ROUNDING - 8
+    # whole blocks are the blocks of build_hamiltonian bit for bit, sectors R^T H R to rounding
     stacks = {s: system.stack(s, betas) for key in BLOCK_ORDER for s in system.sectors[key]}
     for i, beta in enumerate(betas):
         p = SpinParams(alpha_a, alpha_b, beta, MU_OVER_BETA * beta if mu is None else mu)
         for block in block_decompose(build_hamiltonian(p)):
-            sectors = system.sectors[block.m_plus_M]
-            for sector in sectors:
+            for sector in system.sectors[block.m_plus_M]:
                 h = stacks[sector][i]
-                if alpha_a != alpha_b:
-                    assert (len(sectors), sector.parity) == (1, 0)
+                if not split:
+                    assert sector.parity == 0
                     assert np.array_equal(bits(h), bits(block.matrix))
                 else:
                     rotation = sector_rotation(sector)
                     tol = 8 * np.finfo(float).eps * np.max(np.abs(block.matrix))
                     assert np.max(np.abs(h - rotation.T @ block.matrix @ rotation)) <= tol
+
+
+def even_odd_ulps(block):
+    """The largest even-odd entry of a block, in units of eps times its largest entry."""
+    sectors = EXCHANGE_SECTORS[block.m_plus_M]
+    if len(sectors) < 2:
+        return 0.0
+    cross = sector_rotation(sectors[0]).T @ block.matrix @ sector_rotation(sectors[1])
+    return np.max(np.abs(cross)) / (np.finfo(float).eps * np.max(np.abs(block.matrix)))
 
 
 def test_field_parts_are_the_zeeman_blocks():
@@ -479,7 +498,7 @@ def test_equal_couplings_transfer_is_even_mixture():
     assert low.dominant(-1)[1] > 0.98 and low.dominant(0)[1] > 0.98
 
 
-# --- exchange-symmetry sectors at alpha_a = alpha_b --------------------------
+# --- exchange-symmetry sectors where the donor swap commutes with H ----------
 
 # alpha_a = alpha_b of the anticross-fine benchmark workload, seeds 0 and 1
 FINE_ALPHAS = (0.0633, 0.0583)
@@ -535,6 +554,60 @@ def test_sweep_keeps_every_level(alpha_a, alpha_b, start, width, points, mu):
         steps = np.abs(np.diff(np.sort(energies, axis=1), axis=0))
         scale = max(1.0, float(np.max(np.abs(energies))))
         assert np.all(steps <= weyl * np.diff(grid)[:, None] + 1e-12 * scale)
+
+
+def label_image(sweep, swapped):
+    """The reports and traces of ``sweep``, with every label swapped if ``swapped``.
+
+    On whole blocks a label is a product state, which the donor swap maps
+    through SWAP; on exchange sectors it names a sector state, which the swap
+    keeps.  Reports are (block, pair, kind, beta_star, min_gap, enter_weight),
+    sorted; traces are (block, enter label, exit label) in level order.
+    """
+    relabel = SWAP.__getitem__ if swapped and sweep.system.sectors != EXCHANGE_SECTORS else int
+    reports = sorted(
+        (r.block, tuple(map(relabel, r.pair)), r.kind, r.beta_star, r.min_gap, r.enter_weight)
+        for r in find_anticrossings(sweep)
+    )
+    traces = [(t.block, relabel(t.enter_label), relabel(t.exit_label)) for t in adiabatic_transfer_trace(sweep)]
+    return reports, traces
+
+
+def swap_cases(n, seed=22):
+    """``n`` derandomized (alpha_a, alpha_b, grid, mu) cases for the swap property.
+
+    alpha_a is log-uniform in [1e-3, 1].  The first three cases have alpha_b
+    exactly equal and one ulp up and down, the rest a relative asymmetry of
+    +-10^u with u uniform in [-16, -8]; the grids have 50-200 points, and mu
+    is slaved or fixed in [0, 0.05] by turns.
+    """
+    rng = np.random.default_rng(seed)
+    for case in range(n):
+        alpha_a = 10.0 ** rng.uniform(-3.0, 0.0)
+        nearby = (alpha_a, np.nextafter(alpha_a, 2.0), np.nextafter(alpha_a, 0.0))
+        alpha_b = nearby[case] if case < 3 else alpha_a * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16, -8))
+        grid = np.linspace(rng.uniform(0.05, 0.9), rng.uniform(1.1, 3.5), rng.integers(50, 201))
+        yield alpha_a, alpha_b, grid, None if case % 2 else rng.uniform(0.0, 0.05)
+
+
+def test_swapping_the_donors_maps_every_label_through_the_swap():
+    for alpha_a, alpha_b, grid, mu in swap_cases(36):
+        sweep, swapped = sweep_spectrum(alpha_a, alpha_b, grid, mu), sweep_spectrum(alpha_b, alpha_a, grid, mu)
+        assert sweep.system.sectors == swapped.system.sectors
+        (reports, traces), (expected, expected_traces) = label_image(sweep, True), label_image(swapped, False)
+        assert traces == expected_traces
+        assert [r[:3] for r in reports] == [r[:3] for r in expected]
+        # Both bisections start from the same grid step.  Where the entering weight is >= 0.6,
+        # f crosses zero steeply, a rounding flip changes at most the last branch, and
+        # beta_star moves by at most one final bracket.  A report entering near 1/2 can sit on
+        # a plateau where f is zero to rounding over much of its step: there only the step is
+        # shared.  min_gap moves by at most twice the fastest level slope
+        # |Cb + mu' Cm| <= 1 + MU_OVER_BETA times beta_star's move.
+        step = np.max(np.diff(grid))
+        for (*_, beta_star, gap, weight), (*_, beta_expected, gap_expected, _) in zip(reports, expected):
+            tol = step / 2**16 if weight >= 0.6 else step
+            assert abs(beta_star - beta_expected) <= tol
+            assert abs(gap - gap_expected) <= 2.0 * (1.0 + MU_OVER_BETA) * tol + 1e-12
 
 
 @settings(max_examples=50)

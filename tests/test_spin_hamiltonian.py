@@ -11,11 +11,13 @@ from sidonor.spin_hamiltonian import (
     EXCHANGE_SECTORS,
     MU_OVER_BETA,
     SWAP,
+    WHOLE_BLOCKS,
     BlockStructureError,
     SpinParams,
+    _rotate,
     block_decompose,
     build_hamiltonian,
-    sector_decompose,
+    solver_sectors,
 )
 
 
@@ -220,22 +222,27 @@ def test_exchange_sectors_of_every_block():
         assert sorted(max(o) for o in orbits if len(o) == 2) == list(odd)
 
 
-def test_sector_decompose_is_exact_for_the_zeeman_parts():
+def test_rotate_is_exact_for_the_zeeman_parts():
     # diagonal and swap-invariant: each pair state keeps its product states' entry
     for op in (np.diag([s.M for s in BASIS]), np.diag([-(s.ma + s.mb) for s in BASIS])):
         for block in block_decompose(op):
-            for sector, matrix in sector_decompose(block.m_plus_M, block.matrix):
+            for sector in EXCHANGE_SECTORS[block.m_plus_M]:
                 expected = [op[label - 1, label - 1] for label in sector.labels]
-                assert np.array_equal(matrix, np.diag(expected))
+                assert np.array_equal(_rotate(block.matrix, sector, sector), np.diag(expected))
 
 
-def test_sector_decompose_detects_unequal_couplings():
-    # at alpha_a != alpha_b the swap does not commute with H: an even-odd entry of (0.4 - 0.3)/4
-    block = block_decompose(build_hamiltonian(SpinParams(0.3, 0.4, beta=0.0, mu=0.0)))[2]
-    with pytest.raises(BlockStructureError, match=r"block -1: even-odd entry \(8, 12\) = "):
-        sector_decompose(-1, block.matrix)
-    equal = block_decompose(build_hamiltonian(SpinParams(0.3, 0.3, beta=0.0, mu=0.0)))[2]
-    assert [s.labels for s, _ in sector_decompose(-1, equal.matrix)] == [(8, 14), (12, 15)]
+def field_free_blocks(alpha_a, alpha_b):
+    return block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, beta=0.0, mu=0.0)))
+
+
+def test_solver_sectors_split_blocks_where_the_swap_commutes_to_rounding():
+    # at (0.3, 0.4) the block -1 even-odd entry (8, 12) is (0.4 - 0.3)/4: whole blocks
+    assert solver_sectors(field_free_blocks(0.3, 0.4)) == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+    # exactly equal, and one ulp apart: exchange sectors
+    for alpha_b in (0.3, 0.30000000000000004):
+        sectors = solver_sectors(field_free_blocks(0.3, alpha_b))
+        assert sectors == EXCHANGE_SECTORS
+        assert [s.labels for s in sectors[-1]] == [(8, 14), (12, 15)]
 
 
 def test_from_physical_conversion():
