@@ -8,9 +8,14 @@ Subcommands map to the three calculation families plus validation:
     anticross     anticrossing/crossing report only
     validate      run the acceptance suite, one pass/fail line per criterion
 
+Each subcommand but ``validate`` is a ``cmd_*`` function of the config alone
+that returns its tables and JSON documents; :func:`_write_outputs` then checks
+every output path and writes every file, so a failed computation writes nothing.
+
 Outputs are deterministic: identical config + version gives byte-identical
 files.  Exit codes: 0 success, 1 a failing acceptance criterion (``validate``),
-2 configuration error, 3 numerical non-convergence.
+2 configuration error (an output file that cannot be written included),
+3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import os
 import sys
 from contextlib import ExitStack
 from dataclasses import asdict
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -155,17 +161,30 @@ def _out_path(args, filename: str) -> str:
     return path
 
 
-def _table_paths(args, name: str) -> dict[str, str]:
-    """{format: path} of the files of table ``name`` that ``--format`` asks for."""
-    return {fmt: _out_path(args, f"{name}.{fmt}") for fmt in ("csv", "json") if args.format in (fmt, "both")}
+def _write_outputs(args, tables: dict, documents: dict):
+    """Check every output path, then write every file and one ``wrote`` line each.
 
-
-def _emit(args, name: str, header: list[str], columns: list):
-    """Write the table ``header``/``columns`` (one sequence per header entry) to the out dir."""
-    paths = _table_paths(args, name)
-    _write_table(paths.get("csv"), paths.get("json"), header, columns)
-    for path in paths.values():
-        print(f"wrote {path}")
+    ``tables`` maps a name to (header, columns), written as ``NAME.csv`` and/or
+    ``NAME.json`` as ``--format`` asks, before ``documents``, which maps a file
+    name to a JSON payload.  A file that cannot be opened or written is a
+    ``ConfigError`` on ``--out-dir``; the files written before it stay.
+    """
+    writes = []  # (paths, write) of every output
+    for name, (header, columns) in tables.items():
+        paths = {fmt: _out_path(args, f"{name}.{fmt}") for fmt in ("csv", "json") if args.format in (fmt, "both")}
+        write = partial(_write_table, paths.get("csv"), paths.get("json"), header, columns)
+        writes.append((list(paths.values()), write))
+    for name, payload in documents.items():
+        path = _out_path(args, name)
+        writes.append(([path], partial(_write_json, path, payload)))
+    for paths, write in writes:
+        try:
+            write()
+        except OSError as exc:
+            path = exc.filename or " or ".join(paths)
+            raise ConfigError("--out-dir", f"cannot write {path}: {exc.strerror}") from None
+        for path in paths:
+            print(f"wrote {path}")
 
 
 def _require_gate(cfg: RunConfig):
@@ -174,12 +193,11 @@ def _require_gate(cfg: RunConfig):
     return cfg.gate
 
 
-def cmd_hic(cfg: RunConfig, args) -> int:
+def cmd_hic(cfg: RunConfig) -> tuple[dict, dict]:
     gate = _require_gate(cfg)
     shifts = [hic_shift(field_coeffs(gate, v), cfg.material) for v in cfg.voltages]
     parts = ["second_order", "first_order_linear", "first_order_squared", "total"]
-    _emit(args, "hic", ["V", *parts], [cfg.voltages, *([getattr(b, p) for b in shifts] for p in parts)])
-    return 0
+    return {"hic": (["V", *parts], [cfg.voltages, *([getattr(b, p) for b in shifts] for p in parts)])}, {}
 
 
 _OFFSET_FAULT = "the offset overflows the error terms"
@@ -193,7 +211,7 @@ _CELL_FAULTS = {
 }
 
 
-def cmd_error_budget(cfg: RunConfig, args) -> int:
+def cmd_error_budget(cfg: RunConfig) -> tuple[dict, dict]:
     gate = _require_gate(cfg)
     if gate.kind != "strip":
         raise ConfigError("gate.kind", "the error budget needs a strip gate")
@@ -227,25 +245,21 @@ def cmd_error_budget(cfg: RunConfig, args) -> int:
                        ((V > 0) & (dz >= 2e-9) & (dz <= 3e-9)).astype(np.int64), dv,
                        [nulling_voltage(gate, mode, cfg.material)] * V.size])
     published, recomputed = tables
-    if cfg.nulling_ranges is not None:
-        _table_paths(args, "nulling")  # refused before any file is written
-    _emit(
-        args,
-        "error_budget",
+    out = {"error_budget": (
         ["mode", "V", "dz_term", "dx2_term", "dA_over_A", "dz_for_target", "dz_in_2_3_nm", "admissible_dV", "nulling_V"],
         [np.concatenate((p, r)) if isinstance(p, np.ndarray) else p + r for p, r in zip(published, recomputed)],
-    )
+    )}
 
     if cfg.nulling_ranges is not None:
         found = find_nulling_parameters(cfg.target, cfg.nulling_ranges)
         header = ["a", "c", "V", "bracket", "admissible_dz"]
-        _emit(args, "nulling", header, [getattr(found, key) for key in header])
+        out["nulling"] = (header, [getattr(found, key) for key in header])
         if not found:
             _log.warning("no nulling configuration in the given ranges")
-    return 0
+    return out, {}
 
 
-def cmd_spectrum(cfg: RunConfig, args) -> int:
+def cmd_spectrum(cfg: RunConfig) -> tuple[dict, dict]:
     """The sweep of the configured grid as a table, and the ``anticross`` report of that sweep."""
     sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
     # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
@@ -260,32 +274,25 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
         np.column_stack(weights).ravel(),
     ]
     header = ["beta", "level", "block", "energy", "dominant_state", "dominant_weight"]
-    path = _out_path(args, "anticrossings.json")  # refused before the table is written
-    _emit(args, "spectrum", header, columns)
-    _write_anticross(path, sweep)
-    return 0
+    return {"spectrum": (header, columns)}, _anticross_documents(sweep)
 
 
-def cmd_anticross(cfg: RunConfig, args) -> int:
-    sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
-    _write_anticross(_out_path(args, "anticrossings.json"), sweep)
-    return 0
+def cmd_anticross(cfg: RunConfig) -> tuple[dict, dict]:
+    return {}, _anticross_documents(sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu))
 
 
-def _write_anticross(path: str, sweep):
+def _anticross_documents(sweep) -> dict:
     reports = find_anticrossings(sweep)
     traces = adiabatic_transfer_trace(sweep)
     # the report dataclasses define the record keys; json writes the pair
     # tuple as a list and sort_keys fixes the key order
-    payload = {
+    return {"anticrossings.json": {
         "anticrossings": [asdict(r) for r in reports],
         "transfer_traces": [asdict(t) for t in traces],
-    }
-    _write_json(path, payload)
-    print(f"wrote {path}")
+    }}
 
 
-def cmd_validate(cfg: RunConfig, args) -> int:
+def cmd_validate() -> int:
     results = run_all()
     failed = 0
     for r in results:
@@ -330,7 +337,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.overrides)
-        return args.func(cfg, args)
+        if args.func is cmd_validate:
+            return cmd_validate()
+        _write_outputs(args, *args.func(cfg))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,9 +3,10 @@
 A sweep diagonalizes each conserved-projection block on a beta grid and
 connects eigenvectors between adjacent grid points by maximal overlap
 ("adiabatic tracks").  Where the donor swap commutes with H to rounding
-(:func:`solver_sectors`), each block is solved and tracked as its even and
-odd exchange-symmetry sectors instead; a track's labels are then those of
-its sector's basis.  On top of the tracks:
+(``spin_hamiltonian.solver_sectors``), each block is solved and tracked as
+its even and odd exchange-symmetry sectors instead; a track's labels are
+then those of its sector's basis.  This module builds no matrix: every
+H(beta) it solves comes from ``spin_hamiltonian.SectorHamiltonian.stack``.  On top of the tracks:
 
 * :func:`find_anticrossings` locates level crossings (sign changes of a
   track-pair gap, only possible for uncoupled pairs) and anticrossings.
@@ -51,19 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import DEFAULT_CONSTANTS, linear_grid
-from .spin_hamiltonian import (
-    BASIS,
-    BLOCK_ORDER,
-    MU_OVER_BETA,
-    _ZEEMAN_E,
-    _ZEEMAN_N,
-    Sector,
-    SpinParams,
-    _rotate,
-    block_decompose,
-    build_hamiltonian,
-    solver_sectors,
-)
+from .spin_hamiltonian import BASIS, BLOCK_ORDER, Sector, SectorHamiltonian
 
 DEFAULT_BETA_GRID = np.array(linear_grid(0.2, 3.0, 401))
 
@@ -185,7 +174,7 @@ class SpectrumSweep:
     # grid point, the even sector first on an exact tie
     beta_grid: np.ndarray
     tracks: list[Track]
-    system: _BlockSystem       # the Hamiltonian the tracks were solved with
+    system: SectorHamiltonian  # the Hamiltonian the tracks were solved with
 
     def energy_matrix(self) -> np.ndarray:
         """(n_beta, 16) matrix of all tracks in listing order."""
@@ -215,56 +204,6 @@ class TransferTrace:
     conclusive: bool           # both end weights >= 0.6
 
 
-# the beta and mu parts Cb and Cm of every block: the Zeeman blocks, free of alpha
-_CB = {b.m_plus_M: b.matrix for b in block_decompose(_ZEEMAN_E)}
-_CM = {b.m_plus_M: b.matrix for b in block_decompose(-_ZEEMAN_N)}
-
-
-class _BlockSystem:
-    """Per-sector Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
-
-    C0 holds the blocks of ``build_hamiltonian`` at beta = mu = 0.  ``mu=None``
-    slaves mu to beta through MU_OVER_BETA; a number holds it fixed.
-
-    ``sectors[key]`` lists the sectors that block ``key`` is solved in, as
-    :func:`solver_sectors` chooses them from C0: the even and odd exchange
-    sectors where the donor swap commutes with H to rounding, else the whole
-    block in its product basis.  C0, Cb and Cm are rotated into each sector
-    term by term, which is a bitwise identity for a whole block; the dropped
-    even-odd entries are at most rounding, so two sectors are solved and
-    tracked apart.
-    """
-
-    def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
-        self.alpha_a, self.alpha_b, self.mu = alpha_a, alpha_b, mu
-        blocks = block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))
-        self.sectors: dict[int, tuple[Sector, ...]] = solver_sectors(blocks)
-        self._parts: dict[Sector, list[np.ndarray]] = {}  # C0, Cb and Cm of each sector
-        for block in blocks:
-            key = block.m_plus_M
-            for sector in self.sectors[key]:
-                self._parts[sector] = [_rotate(m, sector, sector) for m in (block.matrix, _CB[key], _CM[key])]
-
-    def stack(self, sector: Sector, betas) -> np.ndarray:
-        """(n_beta, d, d) matrices of ``sector`` at every beta.
-
-        For a whole block, each is that block of ``build_hamiltonian`` at
-        (beta, mu) bit for bit: the same terms are added in an order that
-        differs only by commuted sums, and Cm is the exact negation of the
-        nuclear Zeeman operator.  C0, Cb and Cm are each exactly symmetric, so
-        every H(beta) is too and the stack needs no symmetrization.  An entry
-        that overflows is left to :func:`eigensolve_block` to refuse.
-        """
-        c0, cb, cm = self._parts[sector]
-        col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
-        mu = MU_OVER_BETA * col if self.mu is None else self.mu
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = col * cb
-            h += c0
-            h += mu * cm
-        return h
-
-
 def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
     """Assign new eigenvectors to previous tracks by largest |overlap|.
 
@@ -290,7 +229,7 @@ def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
     return perm, float(margin)
 
 
-def _match(system: _BlockSystem, sector: Sector, b0, v0, b1, v1, depth: int = 0) -> list[int]:
+def _match(system: SectorHamiltonian, sector: Sector, b0, v0, b1, v1, depth: int = 0) -> list[int]:
     """Overlap matching with deterministic local refinement on ambiguity."""
     perm, margin = _greedy_match(v0, v1)
     if margin >= OVERLAP_AMBIGUITY:
@@ -310,7 +249,7 @@ def _match(system: _BlockSystem, sector: Sector, b0, v0, b1, v1, depth: int = 0)
     return p_right
 
 
-def _sector_tracks(system: _BlockSystem, sector: Sector, betas, energies, vectors):
+def _sector_tracks(system: SectorHamiltonian, sector: Sector, betas, energies, vectors):
     """The tracks of ``sector`` from its eigenpairs at every grid point.
 
     ``energies`` (n_beta, dim) and ``vectors`` (n_beta, dim, dim) are in the
@@ -355,7 +294,7 @@ def sweep_spectrum(
 ) -> SpectrumSweep:
     """Diagonalize all sectors over the beta grid with adiabatic continuation.
 
-    Each sector (see :class:`_BlockSystem`) is one stacked
+    Each sector (see :class:`SectorHamiltonian`) is one stacked
     :func:`eigensolve_block` call over the whole grid; a whole-block sector
     is the block of ``build_hamiltonian``, bit for bit.
     Adjacent points are connected through one stacked product
@@ -377,7 +316,7 @@ def sweep_spectrum(
     if not np.all(betas[1:] > betas[:-1]):  # no difference: it can overflow
         raise ValueError("beta_grid must be strictly ascending")
 
-    system = _BlockSystem(alpha_a, alpha_b, mu)
+    system = SectorHamiltonian(alpha_a, alpha_b, mu)
     tracks = []
     for key in BLOCK_ORDER:
         block_tracks = []

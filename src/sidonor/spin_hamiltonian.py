@@ -18,6 +18,8 @@ commutes with H as well, and each block splits again into an even and an
 odd exchange-symmetry sector, sizes 4 + 2, 2 + 2, 2 + 2, 1 + 0 and 1 + 0.
 :func:`solver_sectors` holds the one rule for when a config is solved in
 these sectors: its even-odd entries are rounding (``SWAP_ROUNDING``).
+:class:`SectorHamiltonian` assembles H(beta) in each sector it chooses,
+reading the sector's part straight off the 16 x 16 operators.
 """
 
 from __future__ import annotations
@@ -179,11 +181,11 @@ SWAP: dict[int, int] = {s.index: _BY_SPINS[s.Mb, s.Ma, s.mb, s.ma] for s in BASI
 class Sector:
     """The basis of one exchange-symmetry sector of a block, or of a whole block.
 
-    Each state is (label, p, q, sign), with p and q 0-based positions in the
-    block: the product state |p> when sign is 0 (then q = p), else the pair
-    state (|p> + sign |q>)/sqrt(2) of a swap orbit {p, q}.  An even pair
-    (sign +1) is labelled by the smaller basis index of its orbit, an odd
-    pair (sign -1) by the larger, so labels stay integers 1..16 and differ
+    Each state is (label, p, q, sign), with p and q basis indices minus 1:
+    the product state |p> when sign is 0 (then q = p), else the pair state
+    (|p> + sign |q>)/sqrt(2) of a swap orbit {p, q}.  An even pair (sign +1)
+    is labelled by the smaller basis index of its orbit, an odd pair
+    (sign -1) by the larger, so labels stay integers 1..16 and differ
     between the two sectors of a block.  States are in ascending label order.
     """
 
@@ -201,22 +203,21 @@ class Sector:
 
 
 def _sectors(key: int) -> tuple[Sector, ...]:
-    pos = {i: k for k, i in enumerate(BLOCKS[key])}
     even, odd = [], []
     for i in BLOCKS[key]:
         j = SWAP[i]
         if i == j:
-            even.append((i, pos[i], pos[i], 0))
+            even.append((i, i - 1, i - 1, 0))
         elif i < j:
-            even.append((i, pos[i], pos[j], 1))
-            odd.append((j, pos[i], pos[j], -1))
+            even.append((i, i - 1, j - 1, 1))
+            odd.append((j, i - 1, j - 1, -1))
     return tuple(
         Sector(key, parity, tuple(sorted(states))) for parity, states in ((1, even), (-1, odd)) if states
     )
 
 
 WHOLE_BLOCKS: dict[int, Sector] = {
-    key: Sector(key, 0, tuple((i, k, k, 0) for k, i in enumerate(BLOCKS[key]))) for key in BLOCK_ORDER
+    key: Sector(key, 0, tuple((i, i - 1, i - 1, 0) for i in BLOCKS[key])) for key in BLOCK_ORDER
 }
 # the even sector first, then the odd one where the block has one
 EXCHANGE_SECTORS: dict[int, tuple[Sector, ...]] = {key: _sectors(key) for key in BLOCK_ORDER}
@@ -235,7 +236,7 @@ def _gather(rows: Sector, cols: Sector) -> tuple:
 
 
 def _rotate(c: np.ndarray, rows: Sector, cols: Sector) -> np.ndarray:
-    """<row state| C |column state> for a block matrix C in the product basis.
+    """<row state| C |column state> for a 16 x 16 operator C in the product basis.
 
     Term by term, without a matrix product: a pair-pair entry is
     (C_pr + u C_pt + s (C_qr + u C_qt)) / 2, and only an entry between a pair
@@ -254,20 +255,64 @@ def _rotate(c: np.ndarray, rows: Sector, cols: Sector) -> np.ndarray:
 SWAP_ROUNDING = 1e4
 
 
-def solver_sectors(blocks: list[Block]) -> dict[int, tuple[Sector, ...]]:
-    """The sectors that each block is solved in, from the blocks of H at beta = mu = 0.
+def solver_sectors(h0: np.ndarray) -> dict[int, tuple[Sector, ...]]:
+    """The sectors that each block is solved in, from the 16 x 16 H at beta = mu = 0.
 
     The field terms commute with the donor swap, so the swap commutes with H
-    when it commutes with these blocks.  Where every even-odd entry is at
-    most ``SWAP_ROUNDING`` ulps of its block's largest entry, that is
-    rounding and each block is solved as its exchange sectors; otherwise
-    each block is solved whole.  An entry that overflows is no rounding.
+    when it commutes with ``h0``.  Where every even-odd entry is at most
+    ``SWAP_ROUNDING`` ulps of its block's largest entry, that is rounding and
+    each block is solved as its exchange sectors; otherwise each block is
+    solved whole.  An entry that overflows is no rounding.
     """
-    for block in blocks:
-        sectors = EXCHANGE_SECTORS[block.m_plus_M]
+    for key in BLOCK_ORDER:
+        sectors = EXCHANGE_SECTORS[key]
         if len(sectors) == 2:
+            idx = np.array(BLOCKS[key]) - 1
+            scale = np.max(np.abs(h0[np.ix_(idx, idx)]))
             with np.errstate(over="ignore", invalid="ignore"):
-                cross = np.abs(_rotate(block.matrix, *sectors))
-            if not np.all(cross <= SWAP_ROUNDING * np.finfo(float).eps * np.max(np.abs(block.matrix))):
+                cross = np.abs(_rotate(h0, *sectors))
+            if not np.all(cross <= SWAP_ROUNDING * np.finfo(float).eps * scale):
                 return {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
     return EXCHANGE_SECTORS
+
+
+class SectorHamiltonian:
+    """Per-sector Hamiltonian H(beta) = C0 + beta*Cb + mu(beta)*Cm.
+
+    C0 is ``build_hamiltonian`` at beta = mu = 0, Cb = S_az + S_bz and
+    Cm = -(I_az + I_bz), all 16 x 16.  ``mu=None`` slaves mu to beta through
+    MU_OVER_BETA; a number holds it fixed.
+
+    ``sectors[key]`` lists the sectors that block ``key`` is solved in, as
+    :func:`solver_sectors` chooses them from C0.  Each sector's part of C0,
+    Cb and Cm is read off the operator by :func:`_rotate`, a bitwise identity
+    for a whole block; the dropped even-odd entries are at most rounding, so
+    two sectors are solved and tracked apart.
+    """
+
+    def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
+        self.mu = mu
+        ops = (build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)), _ZEEMAN_E, -_ZEEMAN_N)
+        self.sectors: dict[int, tuple[Sector, ...]] = solver_sectors(ops[0])
+        self._parts: dict[Sector, list[np.ndarray]] = {  # C0, Cb and Cm of each sector
+            sector: [_rotate(m, sector, sector) for m in ops] for key in BLOCK_ORDER for sector in self.sectors[key]
+        }
+
+    def stack(self, sector: Sector, betas) -> np.ndarray:
+        """(n_beta, d, d) matrices of ``sector`` at every beta.
+
+        For a whole block, each is that block of ``build_hamiltonian`` at
+        (beta, mu) bit for bit: the same terms are added in an order that
+        differs only by commuted sums, and Cm is the exact negation of the
+        nuclear Zeeman operator.  C0, Cb and Cm are each exactly symmetric, so
+        every H(beta) is too and the stack needs no symmetrization.  An entry
+        that overflows is left to the eigensolver to refuse.
+        """
+        c0, cb, cm = self._parts[sector]
+        col = np.asarray(betas, dtype=float).reshape(-1, 1, 1)
+        mu = MU_OVER_BETA * col if self.mu is None else self.mu
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = col * cb
+            h += c0
+            h += mu * cm
+        return h

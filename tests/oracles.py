@@ -89,11 +89,11 @@ def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
     track order: by block, then ascending at the first grid point, the even
     sector first on a tie.
     """
-    from sidonor.spectrum import _BlockSystem, _match, eigensolve_block
-    from sidonor.spin_hamiltonian import BLOCK_ORDER
+    from sidonor.spectrum import _match, eigensolve_block
+    from sidonor.spin_hamiltonian import BLOCK_ORDER, SectorHamiltonian
 
     betas = np.asarray(beta_grid, dtype=float)
-    system = _BlockSystem(alpha_a, alpha_b, mu)
+    system = SectorHamiltonian(alpha_a, alpha_b, mu)
     out = []
     for key in BLOCK_ORDER:
         block = []

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import errno
 import io
 import json
 import math
@@ -313,13 +314,13 @@ def test_table_writer_equals_oracle(data):
 
 
 def assert_table_equals_oracle(header, columns, fmt):
-    """``cli._emit`` writes the bytes of ``write_table`` on the columns' Python values."""
+    """``cli._write_outputs`` writes the bytes of ``write_table`` on the columns' Python values."""
     rows = [list(r) for r in zip(*(c if isinstance(c, list) else c.tolist() for c in columns))]
     with tempfile.TemporaryDirectory() as tmp:
         new, ref = os.path.join(tmp, "new"), os.path.join(tmp, "ref")
         os.mkdir(ref)
         with contextlib.redirect_stdout(io.StringIO()):
-            cli._emit(argparse.Namespace(out_dir=new, format=fmt), "t", header, columns)
+            cli._write_outputs(argparse.Namespace(out_dir=new, format=fmt), {"t": (header, columns)}, {})
         paths = {ext: os.path.join(ref, f"t.{ext}") for ext in ("csv", "json") if fmt in (ext, "both")}
         write_table(paths.get("csv"), paths.get("json"), header, rows)
         assert sorted(os.listdir(new)) == sorted(os.listdir(ref))
@@ -352,18 +353,25 @@ def test_table_writer_refuses_other_arrays(tmp_path, column):
         assert not any(p.exists() for p in paths)
 
 
-def test_table_files_round_trip(tmp_path):
+def test_table_files_round_trip(tmp_path, capsys):
     # the JSON is canonical json.dumps output and the CSV spells the same values
     payload = json.loads(json.dumps(STRIP_CONFIG))
     payload["voltage"] = {"values": ["0 V", "0.6 V"]}  # V = 0 gives None cells
     strip = write_config(tmp_path, payload)
     spin = write_config(tmp_path, {"spin": {"beta": {"start": 0.2, "stop": 3.0, "points": 57}}}, "spin.json")
-    out = tmp_path / "out"
-    for argv, tables in ((["hic", "--config", strip], ["hic"]),
-                         (["error-budget", "--config", strip], ["error_budget", "nulling"]),
-                         (["spectrum", "--config", spin], ["spectrum"])):
-        assert main([*argv, "--out-dir", str(out), "--format", "both"]) == 0
-        for name in tables:
+    for argv, tables, documents in ((["hic", "--config", strip], ["hic"], []),
+                                    (["error-budget", "--config", strip], ["error_budget", "nulling"], []),
+                                    (["spectrum", "--config", spin], ["spectrum"], ["anticrossings.json"]),
+                                    (["anticross", "--config", spin], [], ["anticrossings.json"])):
+        # one wrote line per file: the tables in order, CSV before JSON, then the documents
+        for fmt in ("csv", "json", "both"):
+            out = tmp_path / argv[0] / fmt
+            assert main([*argv, "--out-dir", str(out), "--format", fmt]) == 0
+            files = [f"{name}.{ext}" for name in tables for ext in ("csv", "json") if fmt in (ext, "both")]
+            files += documents
+            assert capsys.readouterr().out == "".join(f"wrote {out / f}\n" for f in files)
+            assert sorted(os.listdir(out)) == sorted(files)
+        for name in tables:  # in the --format both run
             text = (out / f"{name}.json").read_text(encoding="utf-8")
             records = json.loads(text)
             assert text == json.dumps(records, indent=2, sort_keys=True) + "\n"
@@ -427,14 +435,18 @@ def test_validate_exits_1_on_a_failing_criterion(monkeypatch, capsys):
 
 
 def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
-    from sidonor import cli
     from sidonor.spectrum import ConvergenceError
 
     def boom(*args, **kwargs):
         raise ConvergenceError("synthetic")
 
-    monkeypatch.setattr(cli, "sweep_spectrum", boom)
-    assert main(["spectrum", "--out-dir", str(tmp_path)]) == 3
+    # the sweep fails before the table is built, the anticross report after: neither writes a file
+    for stage in ("sweep_spectrum", "find_anticrossings"):
+        out = tmp_path / stage
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, stage, boom)
+            assert main(["spectrum", "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
 
 def run_cli(*argv):
@@ -495,7 +507,7 @@ def test_unreadable_config_exits_2_and_writes_nothing(tmp_path, kind):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["hic", "anticross"])  # through _emit and _out_path
+@pytest.mark.parametrize("command", ["hic", "anticross"])  # through _write_outputs and _out_path
 @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
 def test_out_dir_that_is_a_file_exits_2(tmp_path, command, below):
     (tmp_path / "notadir").write_text("kept\n", encoding="utf-8")
@@ -508,21 +520,42 @@ def test_out_dir_that_is_a_file_exits_2(tmp_path, command, below):
     assert (tmp_path / "notadir").read_text(encoding="utf-8") == "kept\n"
 
 
-@pytest.mark.parametrize(("command", "blocked"), [
+@pytest.mark.parametrize(("command", "blocked"), [  # a directory NAME, or a symlink NAME -> TARGET
     ("hic", "hic.json"),
     ("error-budget", "nulling.json"),  # the error_budget table comes first
     ("spectrum", "spectrum.json"),
     ("spectrum", "anticrossings.json"),  # written after the spectrum table
     ("anticross", "anticrossings.json"),
+    ("hic", "hic.csv -> missing/x"),  # passes the path check, then cannot be opened
 ])
 def test_output_path_that_is_a_directory_exits_2_and_writes_nothing(tmp_path, command, blocked):
     out = tmp_path / "out"
-    (out / blocked).mkdir(parents=True)
+    name, _, target = blocked.partition(" -> ")
+    out.mkdir()
+    if target:
+        (out / name).symlink_to(out / target)
+    else:
+        (out / name).mkdir()
     cfg = write_config(tmp_path, STRIP_CONFIG if command == "error-budget" else DISC_CONFIG)
     code, err = run_main([command, "--config", cfg, "--out-dir", str(out)])
     assert code == 2
     assert err.startswith("config error: --out-dir: ") and err.count("\n") == 1
-    assert os.listdir(out) == [blocked] and os.listdir(out / blocked) == []
+    assert os.listdir(out) == [name]
+    assert not (out / name).exists() if target else os.listdir(out / name) == []
+
+
+def test_output_that_cannot_be_written_exits_2_with_one_stderr_line(tmp_path, monkeypatch):
+    def full(path, payload):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_write_json", full)
+    out = tmp_path / "out"
+    code, err = run_main(["spectrum", "--out-dir", str(out), "--set", "spin.beta.values=[1.0, 1.5]"])
+    assert code == 2
+    path = out / "anticrossings.json"
+    assert err == f"config error: --out-dir: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
+    # the table written before the failing document stays
+    assert sorted(os.listdir(out)) == ["spectrum.csv", "spectrum.json"]
 
 
 def test_dz_truncation_is_one_log_line_per_coefficient_mode(tmp_path):

@@ -40,6 +40,7 @@ from sidonor.spin_hamiltonian import (
     SWAP,
     SWAP_ROUNDING,
     WHOLE_BLOCKS,
+    SectorHamiltonian,
     SpinParams,
     block_decompose,
     build_hamiltonian,
@@ -115,7 +116,7 @@ def test_stack_is_the_block_of_build_hamiltonian(alpha_a, alpha_b, betas, mu):
     # within SWAP_ROUNDING ulps of its block's largest entry, give or take the rounding of a
     # product with sector_rotation, else whole blocks
     alpha_b = alpha_a if alpha_b is None else alpha_b
-    system = spectrum._BlockSystem(alpha_a, alpha_b, mu)
+    system = SectorHamiltonian(alpha_a, alpha_b, mu)
     split = system.sectors == EXCHANGE_SECTORS
     assert split or system.sectors == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
     ulps = max(map(even_odd_ulps, block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))))
@@ -146,11 +147,16 @@ def even_odd_ulps(block):
 
 
 def test_field_parts_are_the_zeeman_blocks():
-    # Cb = S_az + S_bz and Cm = -(I_az + I_bz), exactly, whatever the couplings
-    for key in BLOCK_ORDER:
-        states = [BASIS[i - 1] for i in BLOCKS[key]]
-        assert np.array_equal(spectrum._CB[key], np.diag([s.M for s in states]))
-        assert np.array_equal(spectrum._CM[key], np.diag([-(s.ma + s.mb) for s in states]))
+    # Cb = S_az + S_bz and Cm = -(I_az + I_bz), exactly, whatever the couplings, in whole
+    # blocks and in exchange sectors: both are diagonal and swap-invariant
+    for alpha_a, alpha_b in (REFERENCE, (0.3, 0.3), (0.0, 0.0)):
+        system = SectorHamiltonian(alpha_a, alpha_b, None)
+        for key in BLOCK_ORDER:
+            for sector in system.sectors[key]:
+                _, cb, cm = system._parts[sector]
+                states = [BASIS[i - 1] for i in sector.labels]
+                assert np.array_equal(cb, np.diag([s.M for s in states]))
+                assert np.array_equal(cm, np.diag([-(s.ma + s.mb) for s in states]))
 
 
 def test_sweep_single_point_grid():
@@ -394,7 +400,7 @@ def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
         Track(block=1, basis=basis, energies=np.array(e), vectors=np.tile(unit[k], (4, 1)))
         for k, e in enumerate((gaps, [0.0] * 4))
     ]
-    system = spectrum._BlockSystem(*REFERENCE, None)
+    system = SectorHamiltonian(*REFERENCE, None)
     sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, system)
     with np.errstate(over="raise"):
         reports = find_anticrossings(sweep)
@@ -550,7 +556,8 @@ def test_sweep_keeps_every_level(alpha_a, alpha_b, start, width, points, mu):
             assert abs(energies[i].sum() - np.trace(h)) <= tol
             assert np.max(np.abs(vectors[i].T @ vectors[i] - np.eye(len(tracks)))) <= 1e-12
             assert np.max(np.abs(vectors[i] @ np.diag(energies[i]) @ vectors[i].T - h)) <= tol
-        weyl = np.linalg.norm(spectrum._CB[key] + slope * spectrum._CM[key], 2)
+        # Cb and Cm are diagonal: the norm of the block of Cb + slope Cm is its largest |entry|
+        weyl = max(abs(BASIS[i - 1].M - slope * (BASIS[i - 1].ma + BASIS[i - 1].mb)) for i in BLOCKS[key])
         steps = np.abs(np.diff(np.sort(energies, axis=1), axis=0))
         scale = max(1.0, float(np.max(np.abs(energies))))
         assert np.all(steps <= weyl * np.diff(grid)[:, None] + 1e-12 * scale)
@@ -617,7 +624,7 @@ def test_swapping_the_donors_maps_every_label_through_the_swap():
     mu=st.one_of(st.none(), st.just(0.0), st.floats(-1.0, 1.0)),
 )
 def test_two_level_sectors_match_the_closed_form(alpha, betas, mu):
-    system = spectrum._BlockSystem(alpha, alpha, mu)
+    system = SectorHamiltonian(alpha, alpha, mu)
     two_level = [s for key in BLOCK_ORDER for s in system.sectors[key] if len(s.labels) == 2]
     assert [(s.block, s.parity) for s in two_level] == [(0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
     for sector in two_level:

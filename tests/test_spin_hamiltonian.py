@@ -223,24 +223,25 @@ def test_exchange_sectors_of_every_block():
 
 
 def test_rotate_is_exact_for_the_zeeman_parts():
-    # diagonal and swap-invariant: each pair state keeps its product states' entry
+    # diagonal and swap-invariant: each pair state keeps its product states' entry, and a
+    # whole block reads the 16 x 16 operator's block as it stands
     for op in (np.diag([s.M for s in BASIS]), np.diag([-(s.ma + s.mb) for s in BASIS])):
         for block in block_decompose(op):
-            for sector in EXCHANGE_SECTORS[block.m_plus_M]:
+            for sector in (*EXCHANGE_SECTORS[block.m_plus_M], WHOLE_BLOCKS[block.m_plus_M]):
                 expected = [op[label - 1, label - 1] for label in sector.labels]
-                assert np.array_equal(_rotate(block.matrix, sector, sector), np.diag(expected))
+                assert np.array_equal(_rotate(op, sector, sector), np.diag(expected))
 
 
-def field_free_blocks(alpha_a, alpha_b):
-    return block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, beta=0.0, mu=0.0)))
+def field_free_hamiltonian(alpha_a, alpha_b):
+    return build_hamiltonian(SpinParams(alpha_a, alpha_b, beta=0.0, mu=0.0))
 
 
 def test_solver_sectors_split_blocks_where_the_swap_commutes_to_rounding():
     # at (0.3, 0.4) the block -1 even-odd entry (8, 12) is (0.4 - 0.3)/4: whole blocks
-    assert solver_sectors(field_free_blocks(0.3, 0.4)) == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+    assert solver_sectors(field_free_hamiltonian(0.3, 0.4)) == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
     # exactly equal, and one ulp apart: exchange sectors
     for alpha_b in (0.3, 0.30000000000000004):
-        sectors = solver_sectors(field_free_blocks(0.3, alpha_b))
+        sectors = solver_sectors(field_free_hamiltonian(0.3, alpha_b))
         assert sectors == EXCHANGE_SECTORS
         assert [s.labels for s in sectors[-1]] == [(8, 14), (12, 15)]
 
