@@ -11,11 +11,14 @@ Subcommands map to the three calculation families plus validation:
 Each subcommand but ``validate`` is a ``cmd_*`` function of the config alone
 that returns its tables and JSON documents; :func:`_write_outputs` then checks
 every output path and writes every file, so a failed computation writes nothing.
+Each parser declares only the options its command reads: ``validate`` takes
+none and loads no config, and ``anticross``, which writes no table, takes no
+``--format``.  Only ``validate`` imports the acceptance suite.
 
 Outputs are deterministic: identical config + version gives byte-identical
 files.  Exit codes: 0 success, 1 a failing acceptance criterion (``validate``),
-2 configuration error (an output file that cannot be written included),
-3 numerical non-convergence.
+2 configuration error (an output file that cannot be written included) or
+usage error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
 from .config import ConfigError, RunConfig, load_config
 from .electrostatics import field_coeffs
 from .error_budget import (
@@ -253,7 +255,10 @@ def cmd_error_budget(cfg: RunConfig) -> tuple[dict, dict]:
     if cfg.nulling_ranges is not None:
         found = find_nulling_parameters(cfg.target, cfg.nulling_ranges)
         header = ["a", "c", "V", "bracket", "admissible_dz"]
-        out["nulling"] = (header, [getattr(found, key) for key in header])
+        columns = [getattr(found, key) for key in header]
+        if not np.isfinite(columns).all():  # a bracket or admissible_dz past the float range
+            raise ConfigError("error_budget.ranges", "the nulling formulas leave the float range")
+        out["nulling"] = (header, columns)
         if not found:
             _log.warning("no nulling configuration in the given ranges")
     return out, {}
@@ -293,6 +298,8 @@ def _anticross_documents(sweep) -> dict:
 
 
 def cmd_validate() -> int:
+    from .acceptance import run_all  # the only command that runs the suite
+
     results = run_all()
     failed = 0
     for r in results:
@@ -315,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("error-budget", cmd_error_budget),
         ("spectrum", cmd_spectrum),
         ("anticross", cmd_anticross),
-        ("validate", cmd_validate),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
@@ -328,18 +334,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config entry (dotted path)",
         )
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both")
+        if func is not cmd_anticross:  # the commands that write tables
+            p.add_argument("--format", choices=("csv", "json", "both"), default="both")
         p.set_defaults(func=func)
+    sub.add_parser("validate").set_defaults(func=cmd_validate)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.overrides)
         if args.func is cmd_validate:
             return cmd_validate()
-        _write_outputs(args, *args.func(cfg))
+        _write_outputs(args, *args.func(load_config(args.config, args.overrides)))
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import per_row_error_budget, write_table
 
@@ -364,9 +364,9 @@ def test_table_files_round_trip(tmp_path, capsys):
                                     (["spectrum", "--config", spin], ["spectrum"], ["anticrossings.json"]),
                                     (["anticross", "--config", spin], [], ["anticrossings.json"])):
         # one wrote line per file: the tables in order, CSV before JSON, then the documents
-        for fmt in ("csv", "json", "both"):
+        for fmt in ("csv", "json", "both") if tables else ("both",):  # anticross has no --format
             out = tmp_path / argv[0] / fmt
-            assert main([*argv, "--out-dir", str(out), "--format", fmt]) == 0
+            assert main([*argv, "--out-dir", str(out), *(["--format", fmt] if tables else [])]) == 0
             files = [f"{name}.{ext}" for name in tables for ext in ("csv", "json") if fmt in (ext, "both")]
             files += documents
             assert capsys.readouterr().out == "".join(f"wrote {out / f}\n" for f in files)
@@ -427,7 +427,8 @@ def test_validate_command_passes(capsys):
 
 def test_validate_exits_1_on_a_failing_criterion(monkeypatch, capsys):
     failing = CriterionResult(cid=7, title="synthetic", passed=False, detail="off by one")
-    monkeypatch.setattr(cli, "run_all", lambda: [failing])
+    monkeypatch.setattr("sidonor.acceptance.run_all", lambda: [failing])
+    monkeypatch.setattr(cli, "load_config", lambda *args: pytest.fail("validate loaded a config"))
     assert main(["validate"]) == 1
     out = capsys.readouterr().out
     assert "FAIL criterion  7: synthetic -- off by one" in out
@@ -449,13 +450,37 @@ def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
         assert not out.exists()
 
 
-def run_cli(*argv):
-    """(exit code, stderr) of the ``sidonor`` CLI in a fresh interpreter, with default warning filters."""
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", "cfg.json"],
+    ["validate", "--set", "spin.alpha_a=0.3"],
+    ["validate", "--out-dir", "out"],
+    ["validate", "--format", "csv"],
+    ["anticross", "--format", "csv"],  # anticross writes no table
+], ids=["validate-config", "validate-set", "validate-out-dir", "validate-format", "anticross-format"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def fresh_interpreter(*args):
+    """The completed ``python ARGS`` on this sidonor in a fresh interpreter, with default warning filters."""
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "sidonor.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(*argv):
+    """(exit code, stderr) of the ``sidonor`` CLI in a fresh interpreter."""
+    proc = fresh_interpreter("-m", "sidonor.cli", *argv)
     return proc.returncode, proc.stderr
+
+
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    proc = fresh_interpreter("-c", "import sys, sidonor.cli; print('sidonor.acceptance' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_overflowing_beta_grid_exits_3_with_one_stderr_line(tmp_path):
@@ -697,6 +722,28 @@ def test_error_budget_cell_that_is_no_finite_bound_exits_2(tmp_path, capsys, ove
 TEXT_CELLS = ("", "published", "recomputed")  # error-budget cells that are no numbers
 
 
+def nulling_overflow(target, a, c):
+    """The README config with the nulling ranges ``a`` and ``c`` and the target ``target``."""
+    payload = copy.deepcopy(README_CONFIG)
+    payload["error_budget"]["target"] = target
+    payload["error_budget"]["ranges"].update(a=a, c=c)
+    return payload
+
+
+# every nulling row has a bracket of -inf, then an admissible_dz of inf
+NULLING_OVERFLOWS = (nulling_overflow(1e100, ["3e-70 m", "8e-70 m"], ["8e-70 m", "12e-70 m"]),
+                     nulling_overflow(1e300, ["3e70 m", "8e70 m"], ["8e70 m", "12e70 m"]))
+
+
+@pytest.mark.parametrize("payload", NULLING_OVERFLOWS, ids=["bracket", "admissible_dz"])
+def test_nulling_cells_past_the_float_range_exit_2_and_write_nothing(tmp_path, capsys, payload):
+    out = tmp_path / "out"
+    assert main(["error-budget", "--config", write_config(tmp_path, payload), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: error_budget.ranges: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_error_budget_huge_length_range_writes_only_finite_cells(tmp_path, capsys):
     # mesh points whose lengths overflow the strip formulas have no root
     cfg = write_config(tmp_path, STRIP_CONFIG)
@@ -857,11 +904,14 @@ def json_numbers(value):
 
 @settings(max_examples=100)
 @given(payload=fuzzed_configs(), command=st.sampled_from(["hic", "error-budget", "spectrum", "anticross"]))
+@example(payload=NULLING_OVERFLOWS[0], command="error-budget")  # extreme a, c and target together
+@example(payload=NULLING_OVERFLOWS[1], command="error-budget")
 def test_extreme_configs_exit_0_with_finite_outputs_or_2_or_3(payload, command):
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = write_config(pathlib.Path(tmp), payload)
         out = pathlib.Path(tmp, "out")
-        code, err = run_main([command, "--config", cfg_path, "--out-dir", str(out), "--format", "json"])
+        fmt = [] if command == "anticross" else ["--format", "json"]  # anticross writes JSON only
+        code, err = run_main([command, "--config", cfg_path, "--out-dir", str(out), *fmt])
         assert code in (0, 2, 3)
         if code:
             assert err.splitlines()[-1].startswith(("config error: ", "numerical non-convergence: "))
