@@ -1,114 +1,76 @@
 """Gate-controlled donor hyperfine shifts and two-donor spin spectra for
-Kane-type silicon quantum-computing structures."""
+Kane-type silicon quantum-computing structures.
+
+The public names load lazily (PEP 562): ``import sidonor`` imports no library
+module, and the first use of a name imports its home module, so a process
+that needs only the config layer and ``hic`` never loads numpy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .constants import (
-    DEFAULT_CONSTANTS,
-    DEFAULT_MATERIAL,
-    MaterialParams,
-    PhysicalConstants,
-    hyperfine_constant_A0,
-    residual_delta_E,
-)
-from .electrostatics import (
-    FieldCoefficients,
-    GateGeometry,
-    disc_field_coeffs,
-    disc_potential,
-    field_coeffs,
-    strip_field_coeffs,
-    strip_potential,
-    taylor_check,
-)
-from .error_budget import (
-    ErrorBudgetReport,
-    NullingTable,
-    PlacementError,
-    admissible_voltage_error,
-    dz_for_target,
-    find_nulling_parameters,
-    relative_hic_error,
-    strip_sensitivity_derivatives,
-)
-from .hyperfine import (
-    HicShiftBreakdown,
-    HydrogenicState,
-    hic_shift,
-    matrix_element_2s1s,
-    second_order_shift,
-    voltage_polynomial,
-)
-from .spectrum import (
-    AnticrossingReport,
-    ConvergenceError,
-    SpectrumSweep,
-    Track,
-    TransferTrace,
-    adiabatic_transfer_trace,
-    eigensolve_block,
-    eq19_gap,
-    eq19_gap_dimensionless,
-    find_anticrossings,
-    spin_transfer_reports,
-    sweep_spectrum,
-)
-from .spin_hamiltonian import (
-    BASIS,
-    BLOCKS,
-    MU_OVER_BETA,
-    BasisState,
-    SpinParams,
-    block_decompose,
-    build_hamiltonian,
-)
+# every public name -> its home module
+_HOME = {
+    "AnticrossingReport": "spectrum",
+    "BASIS": "spin_hamiltonian",
+    "BLOCKS": "spin_hamiltonian",
+    "BasisState": "spin_hamiltonian",
+    "ConvergenceError": "constants",
+    "DEFAULT_CONSTANTS": "constants",
+    "DEFAULT_MATERIAL": "constants",
+    "ErrorBudgetReport": "error_budget",
+    "FieldCoefficients": "electrostatics",
+    "GateGeometry": "electrostatics",
+    "HicShiftBreakdown": "hyperfine",
+    "HydrogenicState": "hyperfine",
+    "MU_OVER_BETA": "spin_hamiltonian",
+    "MaterialParams": "constants",
+    "NullingTable": "error_budget",
+    "PhysicalConstants": "constants",
+    "PlacementError": "constants",
+    "SpectrumSweep": "spectrum",
+    "SpinParams": "spin_hamiltonian",
+    "Track": "spectrum",
+    "TransferTrace": "spectrum",
+    "adiabatic_transfer_trace": "spectrum",
+    "admissible_voltage_error": "error_budget",
+    "block_decompose": "spin_hamiltonian",
+    "build_hamiltonian": "spin_hamiltonian",
+    "disc_field_coeffs": "electrostatics",
+    "disc_potential": "electrostatics",
+    "dz_for_target": "error_budget",
+    "eigensolve_block": "spectrum",
+    "eq19_gap": "spectrum",
+    "eq19_gap_dimensionless": "spectrum",
+    "field_coeffs": "electrostatics",
+    "find_anticrossings": "spectrum",
+    "find_nulling_parameters": "error_budget",
+    "hic_shift": "hyperfine",
+    "hyperfine_constant_A0": "constants",
+    "matrix_element_2s1s": "hyperfine",
+    "relative_hic_error": "error_budget",
+    "residual_delta_E": "constants",
+    "second_order_shift": "hyperfine",
+    "spin_transfer_reports": "spectrum",
+    "strip_field_coeffs": "electrostatics",
+    "strip_potential": "electrostatics",
+    "strip_sensitivity_derivatives": "error_budget",
+    "sweep_spectrum": "spectrum",
+    "taylor_check": "electrostatics",
+    "voltage_polynomial": "hyperfine",
+}
 
-__all__ = [
-    "AnticrossingReport",
-    "BASIS",
-    "BLOCKS",
-    "BasisState",
-    "ConvergenceError",
-    "DEFAULT_CONSTANTS",
-    "DEFAULT_MATERIAL",
-    "ErrorBudgetReport",
-    "FieldCoefficients",
-    "GateGeometry",
-    "HicShiftBreakdown",
-    "HydrogenicState",
-    "MU_OVER_BETA",
-    "MaterialParams",
-    "NullingTable",
-    "PhysicalConstants",
-    "PlacementError",
-    "SpectrumSweep",
-    "SpinParams",
-    "Track",
-    "TransferTrace",
-    "adiabatic_transfer_trace",
-    "admissible_voltage_error",
-    "block_decompose",
-    "build_hamiltonian",
-    "disc_field_coeffs",
-    "disc_potential",
-    "dz_for_target",
-    "eigensolve_block",
-    "eq19_gap",
-    "eq19_gap_dimensionless",
-    "field_coeffs",
-    "find_anticrossings",
-    "find_nulling_parameters",
-    "hic_shift",
-    "hyperfine_constant_A0",
-    "matrix_element_2s1s",
-    "relative_hic_error",
-    "residual_delta_E",
-    "second_order_shift",
-    "spin_transfer_reports",
-    "strip_field_coeffs",
-    "strip_potential",
-    "strip_sensitivity_derivatives",
-    "sweep_spectrum",
-    "taylor_check",
-    "voltage_polynomial",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,10 @@ that returns its tables and JSON documents; :func:`_write_outputs` then checks
 every output path and writes every file, so a failed computation writes nothing.
 Each parser declares only the options its command reads: ``validate`` takes
 none and loads no config, and ``anticross``, which writes no table, takes no
-``--format``.  Only ``validate`` imports the acceptance suite.
+``--format``.  Each command imports its own compute modules when it runs, so
+importing this module and loading a config load only the config layer, and
+``hic``, whose table holds only lists, runs without numpy.  Only ``validate``
+imports the acceptance suite.
 
 Outputs are deterministic: identical config + version gives byte-identical
 files.  Exit codes: 0 success, 1 a failing acceptance criterion (``validate``),
@@ -36,27 +39,9 @@ from dataclasses import asdict
 from functools import partial
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
-from .electrostatics import field_coeffs
-from .error_budget import (
-    admissible_voltage_error,
-    dz_for_target,
-    find_nulling_parameters,
-    nulling_voltage,
-    relative_hic_error,
-    strip_coefficients,
-    strip_gate_terms,
-)
-from .hyperfine import hic_shift
-from .spectrum import (
-    ConvergenceError,
-    adiabatic_transfer_trace,
-    find_anticrossings,
-    sweep_spectrum,
-)
+from .constants import ConvergenceError
 
 _log = logging.getLogger(__name__)
 
@@ -91,9 +76,10 @@ def _format_column(values) -> tuple[list[str], list[str]]:
     the inverse index.  Floats are told apart by bit pattern, so ``-0.0`` and
     ``0.0``, and NaNs of different payloads, never share a text.
     """
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, list):
         csv_text, json_text = zip(*map(_cell, values))
         return list(csv_text), list(json_text)
+    import numpy as np  # an array column: a table of lists loads no numpy
     keys = values.view(np.uint64) if values.dtype == np.float64 else values
     distinct, inverse = np.unique(keys, return_inverse=True)
     distinct = distinct.view(values.dtype)
@@ -114,8 +100,10 @@ def _write_table(csv_path: str | None, json_path: str | None, header: list[str],
     at a time, and every chunk goes to both files.
     """
     for column in columns:
-        if not isinstance(column, np.ndarray):
+        if isinstance(column, list):
             continue
+        import numpy as np  # an array column: a table of lists loads no numpy
+
         if column.ndim != 1 or column.dtype not in (np.float64, np.int64):
             raise TypeError(f"table column of {column.ndim} dimensions and dtype {column.dtype}: "
                             "expected a 1-D float64 or int64 array")
@@ -196,6 +184,9 @@ def _require_gate(cfg: RunConfig):
 
 
 def cmd_hic(cfg: RunConfig) -> tuple[dict, dict]:
+    from .electrostatics import field_coeffs
+    from .hyperfine import hic_shift
+
     gate = _require_gate(cfg)
     shifts = [hic_shift(field_coeffs(gate, v), cfg.material) for v in cfg.voltages]
     parts = ["second_order", "first_order_linear", "first_order_squared", "total"]
@@ -214,6 +205,18 @@ _CELL_FAULTS = {
 
 
 def cmd_error_budget(cfg: RunConfig) -> tuple[dict, dict]:
+    import numpy as np
+
+    from .error_budget import (
+        admissible_voltage_error,
+        dz_for_target,
+        find_nulling_parameters,
+        nulling_voltage,
+        relative_hic_error,
+        strip_coefficients,
+        strip_gate_terms,
+    )
+
     gate = _require_gate(cfg)
     if gate.kind != "strip":
         raise ConfigError("gate.kind", "the error budget needs a strip gate")
@@ -266,6 +269,10 @@ def cmd_error_budget(cfg: RunConfig) -> tuple[dict, dict]:
 
 def cmd_spectrum(cfg: RunConfig) -> tuple[dict, dict]:
     """The sweep of the configured grid as a table, and the ``anticross`` report of that sweep."""
+    import numpy as np
+
+    from .spectrum import sweep_spectrum
+
     sweep = sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu)
     # one row per (beta, level), beta-major: (n_beta, n_levels) arrays ravel in row order
     n_beta, n_levels = sweep.beta_grid.size, len(sweep.tracks)
@@ -283,10 +290,14 @@ def cmd_spectrum(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def cmd_anticross(cfg: RunConfig) -> tuple[dict, dict]:
+    from .spectrum import sweep_spectrum
+
     return {}, _anticross_documents(sweep_spectrum(cfg.alpha_a, cfg.alpha_b, cfg.beta_grid, cfg.mu))
 
 
 def _anticross_documents(sweep) -> dict:
+    from .spectrum import adiabatic_transfer_trace, find_anticrossings
+
     reports = find_anticrossings(sweep)
     traces = adiabatic_transfer_trace(sweep)
     # the report dataclasses define the record keys; json writes the pair

@@ -14,16 +14,17 @@ import math
 from dataclasses import dataclass, field
 
 from .constants import (
+    DEFAULT_BETA_RANGE,
     DEFAULT_CONSTANTS,
+    DEFAULT_LINE_WIDTH,
     MaterialParams,
+    PlacementError,
     effective_delta_E,
     hyperfine_constant_A0,
     linear_grid,
 )
 from .electrostatics import GateGeometry, field_coeffs
-from .error_budget import DEFAULT_LINE_WIDTH, PlacementError
 from .hyperfine import hic_shift
-from .spectrum import DEFAULT_BETA_GRID
 
 
 class ConfigError(Exception):
@@ -142,7 +143,7 @@ class RunConfig:
     nulling_ranges: dict | None = None
     alpha_a: float = 0.3
     alpha_b: float = 0.4
-    beta_grid: list[float] = field(default_factory=DEFAULT_BETA_GRID.tolist)
+    beta_grid: list[float] = field(default_factory=lambda: linear_grid(*DEFAULT_BETA_RANGE))
     mu: float | None = None  # None: slaved to beta
 
 

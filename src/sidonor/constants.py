@@ -1,4 +1,4 @@
-"""Physical constants, silicon donor material parameters and the one grid layout.
+"""Physical constants, shared parameter records and the one grid layout.
 
 Everything is SI internally.  The constant values are deliberately the
 rounded reference values of the original device analysis rather than CODATA
@@ -9,7 +9,10 @@ Note on ``h``: the reference tables quote 6.62e-34 J*s, which is numerically
 Planck's constant h (not h-bar).  It is stored as ``h`` here; all Hz
 conversions divide by ``h``.
 
-Every formula reads the one :data:`DEFAULT_CONSTANTS` record.
+Every formula reads the one :data:`DEFAULT_CONSTANTS` record.  The records
+that the config layer shares with the compute modules (:class:`PlacementError`,
+:data:`DEFAULT_LINE_WIDTH`, :data:`DEFAULT_BETA_RANGE`, :class:`ConvergenceError`)
+live here too, so that reading a config imports no compute module and no numpy.
 """
 
 from __future__ import annotations
@@ -49,6 +52,21 @@ class MaterialParams:
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 DEFAULT_MATERIAL = MaterialParams()
+
+DEFAULT_LINE_WIDTH = 1e4  # Hz, resonant-pulse strip width
+DEFAULT_BETA_RANGE = (0.2, 3.0, 401)  # (start, stop, points) of the default beta grid
+
+
+@dataclass(frozen=True)
+class PlacementError:
+    """Donor offsets from the nominal site (m): dx lateral, dz in depth."""
+
+    dx: float
+    dz: float
+
+
+class ConvergenceError(RuntimeError):
+    """The eigensolver failed, or met a non-finite input, eigenvalue or spread."""
 
 
 # --- derived quantities ---------------------------------------------------

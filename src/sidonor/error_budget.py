@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import DEFAULT_MATERIAL, MaterialParams, hyperfine_constant_A0, linear_grid
+from .constants import (
+    DEFAULT_LINE_WIDTH,
+    DEFAULT_MATERIAL,
+    MaterialParams,
+    PlacementError,
+    hyperfine_constant_A0,
+    linear_grid,
+)
 from .electrostatics import GateGeometry, strip_field_coeffs
 from .hyperfine import first_order_shift, second_order_shift, voltage_polynomial
 
@@ -40,17 +47,6 @@ STRIP_QUAD_COEFF = 0.063
 STRIP_LIN_COEFF = 0.085
 
 _log = logging.getLogger(__name__)
-
-DEFAULT_LINE_WIDTH = 1e4  # Hz, resonant-pulse strip width
-
-
-@dataclass(frozen=True)
-class PlacementError:
-    """Donor offsets from the nominal site (m): dx lateral, dz in depth."""
-
-    dx: float
-    dz: float
-
 
 @dataclass(frozen=True)
 class ErrorBudgetReport:

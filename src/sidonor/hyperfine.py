@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import DEFAULT_CONSTANTS, DEFAULT_MATERIAL, MaterialParams, effective_delta_E
 from .electrostatics import FieldCoefficients, GateGeometry, field_coeffs
 
@@ -58,6 +56,8 @@ class HydrogenicState:
 
     def value(self, r):
         """Envelope value at radius r (scalar or array), m^-3/2."""
+        import numpy as np  # only this method needs numpy; the shift formulas are plain math
+
         r = np.asarray(r, dtype=float)
         a = self.a_star
         if self.label == "1s":

@@ -51,10 +51,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, linear_grid
+from .constants import DEFAULT_BETA_RANGE, DEFAULT_CONSTANTS, ConvergenceError, linear_grid
 from .spin_hamiltonian import BASIS, BLOCK_ORDER, Sector, SectorHamiltonian
 
-DEFAULT_BETA_GRID = np.array(linear_grid(0.2, 3.0, 401))
+DEFAULT_BETA_GRID = np.array(linear_grid(*DEFAULT_BETA_RANGE))
 
 OVERLAP_AMBIGUITY = 1e-6
 _MAX_REFINE_DEPTH = 24
@@ -65,10 +65,6 @@ _log = logging.getLogger(__name__)
 
 # lowest electron level at strong field: both electrons down (M = -1)
 GROUND_QUARTET = (13, 14, 15, 16)
-
-
-class ConvergenceError(RuntimeError):
-    """The eigensolver failed, or met a non-finite input, eigenvalue or spread."""
 
 
 def eigensolve_block(h):

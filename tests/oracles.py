@@ -3,10 +3,11 @@
 These deliberately avoid the code paths they check: derivatives come from
 Richardson-extrapolated central differences, eigenvalues from inertia
 counting (LDL^T pivots of A - x I) plus bisection on the characteristic
-polynomial's sign structure, and the two-level sectors at alpha_a = alpha_b
+polynomial's sign structure, the two-level sectors at alpha_a = alpha_b
 from their closed forms (:func:`two_level_eigenvalues`,
 :func:`odd_minus_one_anticrossing`) in the basis that :func:`sector_rotation`
-builds from the spin projections.  The exceptions are the per-point loops that
+builds from the spin projections, and the exchanges at weak coupling from
+first-order degenerate perturbation theory (:func:`weak_coupling_exchanges`).  The exceptions are the per-point loops that
 whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
 tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
 bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
@@ -159,6 +160,82 @@ def odd_minus_one_anticrossing(alpha):
     from sidonor.spin_hamiltonian import MU_OVER_BETA
 
     return 1.0 / (1.0 + MU_OVER_BETA), abs(alpha)
+
+
+def _basis_vector(*terms):
+    """The 16-vector sum of sign * |label> over the (sign, label) ``terms``, normalized."""
+    v = np.zeros(16)
+    for sign, label in terms:
+        v[label - 1] = sign
+    return v / np.linalg.norm(v)
+
+
+# the three states of blocks -1 and 0 that meet at beta0 = 1/(1 + MU_OVER_BETA)
+# when alpha = 0, as (labels, vector): a product state, or the electron singlet
+# (|ud> - |du>)/sqrt(2) with nuclei dd, ud or du, under its two product labels
+_WEAK_MEETINGS = {
+    -1: ((14, _basis_vector((1, 14))), (15, _basis_vector((1, 15))),
+         ((8, 12), _basis_vector((1, 8), (-1, 12)))),
+    0: ((13, _basis_vector((1, 13))), ((6, 10), _basis_vector((1, 6), (-1, 10))),
+        ((7, 11), _basis_vector((1, 7), (-1, 11)))),
+}
+
+
+def weak_coupling_exchanges(ratio, x_lo=-40.0, x_hi=40.0, points=2001):
+    """Half-transfer points and gaps of alpha_a = ratio * s, alpha_b = s as s -> 0.
+
+    At alpha = 0 three levels of each of blocks -1 and 0 meet at beta0 =
+    1/(1 + MU_OVER_BETA).  With x = (beta - beta0)/s, first-order degenerate
+    perturbation theory on those three states P gives the s-free problem
+    H_eff/s = x diag(P^T H' P) + P^T V P, where H' = dH/dbeta with mu slaved
+    and V = ratio HF_A + HF_B, both read off ``build_hamiltonian``.  It is
+    solved by ``np.linalg.eigh`` on each 3 x 3, and its levels are the tracks
+    in energy order, as in one block no two meet.
+
+    Returns {(block, enter label): (x_star, gap, exit labels)} for each track
+    on [x_lo, x_hi] that enters (at x_hi) as a product state and exits (at x_lo)
+    as another state: x_star is the highest point where its weight on the
+    entering state rises through 1/2, bisected to rounding, and gap the
+    distance in units of s to the nearest other of the three levels there.
+    """
+    from sidonor.spin_hamiltonian import MU_OVER_BETA, SpinParams, build_hamiltonian
+
+    h0 = build_hamiltonian(SpinParams(0.0, 0.0, 0.0, 0.0))
+    slope = build_hamiltonian(SpinParams(0.0, 0.0, 1.0, MU_OVER_BETA)) - h0
+    v = build_hamiltonian(SpinParams(ratio, 1.0, 0.0, 0.0)) - h0
+    xs = np.linspace(x_lo, x_hi, points)
+    out = {}
+    for block, states in _WEAK_MEETINGS.items():
+        labels = [label for label, _ in states]
+        p = np.column_stack([vec for _, vec in states])
+        meeting = p.T @ (h0 + slope / (1.0 + MU_OVER_BETA)) @ p
+        assert np.allclose(meeting, meeting[0, 0] * np.eye(3), rtol=0.0, atol=1e-14)
+        d = p.T @ slope @ p
+        assert np.allclose(d, np.diag(np.diag(d)), rtol=0.0, atol=1e-15)  # H' is diagonal on P
+        vp = p.T @ v @ p
+
+        def h_eff(x):
+            return np.asarray(x)[..., None, None] * np.diag(np.diag(d)) + vp
+
+        weights = np.linalg.eigh(h_eff(xs))[1] ** 2  # (point, state, track)
+        for k in range(3):
+            enter, leave = (int(np.argmax(weights[i, :, k])) for i in (-1, 0))
+            if enter == leave or not isinstance(labels[enter], int):
+                continue
+            f = weights[:, enter, k] - 0.5
+            i0 = int(np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))[-1])
+            lo, hi = xs[i0], xs[i0 + 1]
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                if np.linalg.eigh(h_eff(mid))[1][enter, k] ** 2 >= 0.5:
+                    hi = mid
+                else:
+                    lo = mid
+            w = np.linalg.eigvalsh(h_eff(hi))
+            gap = min(abs(w[k] - w[j]) for j in range(3) if j != k)
+            exits = labels[leave] if isinstance(labels[leave], tuple) else (labels[leave],)
+            out[block, labels[enter]] = (float(hi), float(gap), exits)
+    return out
 
 
 def _exchange_report(sweep, track):

@@ -445,7 +445,7 @@ def test_non_convergence_maps_to_exit_3(tmp_path, monkeypatch):
     for stage in ("sweep_spectrum", "find_anticrossings"):
         out = tmp_path / stage
         with monkeypatch.context() as patch:
-            patch.setattr(cli, stage, boom)
+            patch.setattr(f"sidonor.spectrum.{stage}", boom)
             assert main(["spectrum", "--out-dir", str(out)]) == 3
         assert not out.exists()
 
@@ -478,9 +478,22 @@ def run_cli(*argv):
     return proc.returncode, proc.stderr
 
 
-def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
-    proc = fresh_interpreter("-c", "import sys, sidonor.cli; print('sidonor.acceptance' in sys.modules)")
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded(tmp_path):
+    # the start-up path reads the config alone, and hic's formulas and table need no numpy
+    cfg, out = write_config(tmp_path, README_CONFIG), tmp_path / "out"
+    unloaded = ("numpy", "sidonor.spectrum", "sidonor.spin_hamiltonian", "sidonor.error_budget",
+                "sidonor.acceptance")
+    proc = fresh_interpreter("-c", f"""
+import sys, sidonor.cli
+sidonor.cli.load_config(sys.argv[1])
+print([m for m in {unloaded!r} if m in sys.modules])
+sidonor.cli.main(["hic", "--config", sys.argv[1], "--out-dir", sys.argv[2]])
+print("numpy" in sys.modules)
+""", cfg, str(out))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "False")
+    assert sorted(os.listdir(out)) == ["hic.csv", "hic.json"]
 
 
 def test_overflowing_beta_grid_exits_3_with_one_stderr_line(tmp_path):

@@ -16,6 +16,7 @@ from oracles import (
     sector_of,
     sector_rotation,
     two_level_eigenvalues,
+    weak_coupling_exchanges,
 )
 
 from sidonor import spectrum
@@ -665,10 +666,11 @@ def test_odd_minus_one_anticrossing_is_the_closed_form(alpha, start, stop, point
 def test_weak_coupling_exchanges_follow_the_scaling_law(ratio):
     # H is linear in the couplings (ratio * s, s) at fixed beta, and at s = 0
     # the block -1 and block 0 levels meet at beta0: on the grid beta0 +- 40 s,
-    # (beta_star - beta0) / s and min_gap / s converge at O(s) as s -> 0.
-    # Only exchanges that enter with weight >= 0.6 have a half-transfer point
-    # that the law fixes.
+    # (beta_star - beta0) / s and min_gap / s converge at O(s) as s -> 0, to
+    # the first-order 3 x 3 problem of the oracle.  Only exchanges that enter
+    # with weight >= 0.6 have a half-transfer point that the law fixes.
     beta0 = 1.0 / (1.0 + MU_OVER_BETA)
+    limit = weak_coupling_exchanges(ratio)
     scales = (4e-3, 4e-4, 4e-5)
     scaled = []  # {(block, pair): ((beta_star - beta0) / s, min_gap / s)} at each s
     for s in scales:
@@ -679,6 +681,13 @@ def test_weak_coupling_exchanges_follow_the_scaling_law(ratio):
             for r in reports
             if r.kind == "anticrossing" and r.enter_weight >= 0.6
         })
+        assert sorted((block, enter) for block, (enter, _) in scaled[-1]) == sorted(limit)
+        for (block, (enter, leave)), got in scaled[-1].items():
+            x_star, gap, exits = limit[block, enter]
+            assert leave in exits
+            # the neglected second order moves both by at most about 0.6 s here;
+            # 1e-6 is the bisection bracket
+            assert np.all(np.abs(got - (x_star, gap)) <= s + 1e-6)
     assert scaled[0] and scaled[0].keys() == scaled[1].keys() == scaled[2].keys()
     for key in scaled[0]:
         first, second, third = (x[key] for x in scaled)
