@@ -41,7 +41,6 @@ _HOME = {
     "disc_potential": "electrostatics",
     "dz_for_target": "error_budget",
     "eigensolve_block": "spectrum",
-    "eq19_gap": "spectrum",
     "eq19_gap_dimensionless": "spectrum",
     "field_coeffs": "electrostatics",
     "find_anticrossings": "spectrum",
@@ -55,7 +54,6 @@ _HOME = {
     "spin_transfer_reports": "spectrum",
     "strip_field_coeffs": "electrostatics",
     "strip_potential": "electrostatics",
-    "strip_sensitivity_derivatives": "error_budget",
     "sweep_spectrum": "spectrum",
     "taylor_check": "electrostatics",
     "voltage_polynomial": "hyperfine",

@@ -34,9 +34,6 @@ COEF_Z2 = 2**8 * math.sqrt(2.0) / 3**6        # axial  -(e E1/2) z^2 term
 COEF_RHO2 = 2**9 * math.sqrt(2.0) / 3**6      # transverse +(e E2/2) rho^2 (disc)
 COEF_X2 = COEF_Z2                             # transverse +(e E2/2) x^2 (strip)
 
-# ratio of the 2s and 1s envelopes at the origin
-F2S_OVER_F1S_AT_0 = math.sqrt(2.0) / 4.0
-
 # published calibration weight of E2_c/E1_c in the disc first-order bracket
 PUBLISHED_DISC_WEIGHT = 49.0 / 16.0
 

@@ -20,10 +20,10 @@ H(beta) it solves comes from ``spin_hamiltonian.SectorHamiltonian.stack``.  On t
   minimum does not.
 * :func:`adiabatic_transfer_trace` certifies which basis state each track
   turns into across the sweep, with the dominant weights at both ends.
-* :func:`eq19_gap` is the strong-field closed form for the splitting of the
-  two lowest M + m = -1 levels at equal hyperfine couplings: the lowest even
-  and the lowest odd level, which lie in different sectors and never
-  exchange.
+* :func:`eq19_gap_dimensionless` is the strong-field closed form, in units
+  of J, for the splitting of the two lowest M + m = -1 levels at equal
+  hyperfine couplings: the lowest even and the lowest odd level, which lie
+  in different sectors and never exchange.
 
 Every diagonalization goes through :func:`eigensolve_block`, which solves a
 whole stack of matrices at once: a stack of 2 x 2 matrices (five of the eight
@@ -45,13 +45,12 @@ ambiguous.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .constants import DEFAULT_BETA_RANGE, DEFAULT_CONSTANTS, ConvergenceError, linear_grid
+from .constants import DEFAULT_BETA_RANGE, ConvergenceError, linear_grid
 from .spin_hamiltonian import BASIS, BLOCK_ORDER, Sector, SectorHamiltonian
 
 DEFAULT_BETA_GRID = np.array(linear_grid(*DEFAULT_BETA_RANGE))
@@ -518,37 +517,3 @@ def eq19_gap_dimensionless(alpha: float, beta: float) -> float:
     of falling with beta as it does at mu = 0.
     """
     return (alpha / 2.0) ** 2 * (1.0 / (beta - 1.0) - 1.0 / beta)
-
-
-def eq19_gap(B: float, J: float, A: float) -> tuple[float, float]:
-    """Physical strong-field gap E14 - E15 = (A/2)^2/(2 mu_B B - J) - (A/2)^2/(2 mu_B B).
-
-    Args:
-        B: magnetic field, T (finite and > 0).
-        J: exchange energy, J (finite and >= 0; the validity window
-           2 mu_B B >= 3 J is enforced, which keeps the formula away from its
-           2 mu_B B = J pole).
-        A: common hyperfine coupling of both donors, J (finite).
-
-    Returns:
-        (gap, nu): splitting in joules and the transition frequency gap/h in Hz.
-
-    Raises:
-        ValueError: an argument is out of its domain (NaN included), or the
-            field is below the validity window.
-    """
-    if not (B > 0) or not math.isfinite(B):
-        raise ValueError("B must be positive and finite")
-    if not (J >= 0) or not math.isfinite(J):
-        raise ValueError("J must be non-negative and finite")
-    if not math.isfinite(A):
-        raise ValueError("A must be finite")
-    zeeman = 2.0 * DEFAULT_CONSTANTS.mu_B * B
-    if J > 0 and zeeman < 3.0 * J:
-        raise ValueError(
-            "strong-field formula requires 2 mu_B B >= 3 J (anticrossing region excluded)"
-        )
-    if J == 0.0 or A == 0.0:
-        return 0.0, 0.0
-    gap = (A / 2.0) ** 2 / (zeeman - J) - (A / 2.0) ** 2 / zeeman
-    return gap, gap / DEFAULT_CONSTANTS.h

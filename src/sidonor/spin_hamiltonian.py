@@ -45,18 +45,6 @@ class SpinParams:
     beta: float
     mu: float
 
-    @classmethod
-    def from_physical(cls, B: float, J: float, A_a: float, A_b: float) -> "SpinParams":
-        """Convert (B in T, J and A in J) to dimensionless form; J must be > 0."""
-        if J <= 0:
-            raise ValueError("exchange constant J must be positive")
-        return cls(
-            alpha_a=A_a / J,
-            alpha_b=A_b / J,
-            beta=2.0 * DEFAULT_CONSTANTS.mu_B * B / J,
-            mu=DEFAULT_CONSTANTS.g_N * DEFAULT_CONSTANTS.mu_N * B / J,
-        )
-
 
 @dataclass(frozen=True)
 class BasisState:
@@ -74,9 +62,6 @@ class BasisState:
     def M(self) -> float:
         """Total electron projection Ma + Mb."""
         return self.Ma + self.Mb
-
-    def arrows(self) -> str:
-        return "".join("u" if p > 0 else "d" for p in (self.Ma, self.Mb, self.ma, self.mb))
 
 
 def _make_basis() -> tuple[BasisState, ...]:

@@ -6,9 +6,11 @@ counting (LDL^T pivots of A - x I) plus bisection on the characteristic
 polynomial's sign structure, the two-level sectors at alpha_a = alpha_b
 from their closed forms (:func:`two_level_eigenvalues`,
 :func:`odd_minus_one_anticrossing`) in the basis that :func:`sector_rotation`
-builds from the spin projections, and the exchanges at weak coupling from
-first-order degenerate perturbation theory (:func:`weak_coupling_exchanges`).  The exceptions are the per-point loops that
-whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
+builds from the spin projections, the exchanges at weak coupling from
+first-order degenerate perturbation theory (:func:`weak_coupling_exchanges`),
+and the placement error terms from the paper's displaced-field brackets
+(:func:`displaced_field_brackets`).  The exceptions are the per-point loops
+that whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
 tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
 bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
 search in ``find_nulling_parameters``, :func:`per_row_error_budget` for the
@@ -321,6 +323,25 @@ def per_report_bisection(sweep):
             reports.extend(_crossing_reports(sweep, block_tracks))
     reports.sort(key=lambda r: (r.beta_star, r.block, r.pair))
     return reports
+
+
+def displaced_field_brackets(a, c, dx, dz):
+    """The paper's three bracket factors of the strip field derivatives at a displaced donor.
+
+    For a strip of half-width ``a`` and a donor at depth ``c`` moved by ``dx``
+    across and ``dz`` down, they multiply (-E_c, E1_c, -E2_c/2) respectively
+    and are 1 at dx = dz = 0.  Terms linear in dz and quadratic in dx are kept
+    (dz ~ dx^2; the dz^2 terms are dropped).  The error terms of
+    ``relative_hic_error`` with coefficients (q, l) follow from them:
+    dz_term = 2 q V^2 (1 - b1(0, dz)) and
+    dx2_term = 2 q V^2 (1 - b1(dx, 0)) + l V (b2 - b3)(dx, 0).
+    """
+    s = a**2 + c**2
+    b1 = 1.0 - dz / (c * (1.0 + a**2 / c**2)) - dx**2 * (2.0 * c**2 - a**2) / (2.0 * s**2)
+    b2 = (1.0 - dz * (2.0 * c**2 - a**2) / (c * s)
+          - dx**2 * (4.0 * c**4 + a**2 * c**2 - a**4) / (2.0 * c**2 * s**2))
+    b3 = 1.0 - dz * (2.0 * c**2 - a**2) / (c * s) - dx**2 * (2.0 * c**2 + a**2) / (2.0 * s**2)
+    return b1, b2, b3
 
 
 def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import per_point_nulling
+from oracles import displaced_field_brackets, per_point_nulling
 
 from sidonor.constants import MaterialParams
 from sidonor.electrostatics import GateGeometry
@@ -12,13 +12,11 @@ from sidonor.error_budget import (
     PlacementError,
     admissible_voltage_error,
     dx2_bracket,
-    dz_coefficient,
     dz_for_target,
     find_nulling_parameters,
     nulling_voltage,
     relative_hic_error,
     strip_coefficients,
-    strip_sensitivity_derivatives,
 )
 from sidonor.hyperfine import voltage_polynomial
 
@@ -34,40 +32,67 @@ V_STAR = 0.7468820861678004
 # --- displaced-field brackets -----------------------------------------------
 
 def test_brackets_reduce_to_one_at_nominal_position():
-    assert strip_sensitivity_derivatives(STRIP, PlacementError(0.0, 0.0)) == (1.0, 1.0, 1.0)
+    assert displaced_field_brackets(A, C, 0.0, 0.0) == (1.0, 1.0, 1.0)
+    rep = relative_hic_error(STRIP, np.linspace(0.0, 2.0, 5), PlacementError(0.0, 0.0))
+    assert np.all(rep.dz_term == 0.0) and np.all(rep.dx2_term == 0.0)
 
 
 def test_bracket_dz_term_vanishes_at_magic_aspect_ratio():
     # at a = c sqrt(2) the (2c^2 - a^2) factor is zero
-    gate = GateGeometry(kind="strip", a=C * math.sqrt(2), c=C, D=D)
-    _, b2, b3 = strip_sensitivity_derivatives(gate, PlacementError(dx=0.0, dz=1e-9))
+    _, b2, b3 = displaced_field_brackets(C * math.sqrt(2), C, 0.0, 1e-9)
     assert abs(b2 - 1.0) < 1e-12
     assert abs(b3 - 1.0) < 1e-12
 
 
 def test_bracket_shallower_donor_increases_first_factor():
-    b1, _, _ = strip_sensitivity_derivatives(STRIP, PlacementError(dx=0.0, dz=-1e-9))
+    b1, _, _ = displaced_field_brackets(A, C, 0.0, -1e-9)
     assert b1 > 1.0
+    # dz_term = 2 q V^2 (1 - b1), so a shallower donor moves it against q
+    q, _ = strip_coefficients(STRIP, "published")
+    rep = relative_hic_error(STRIP, 1.0, PlacementError(dx=0.0, dz=-1e-9))
+    assert np.sign(rep.dz_term) == -np.sign(q)
 
 
 def test_brackets_reject_disc_gate():
     with pytest.raises(ValueError):
-        strip_sensitivity_derivatives(DISC, PlacementError(0.0, 0.0))
+        relative_hic_error(DISC, 0.5, PlacementError(0.0, 0.0))
 
 
 def test_bracket_closed_forms():
     dx, dz = 1.2e-9, 0.8e-9
     s = A * A + C * C
-    b1, b2, b3 = strip_sensitivity_derivatives(STRIP, PlacementError(dx=dx, dz=dz))
-    assert b1 == pytest.approx(1 - dz * C / s - dx**2 * (2 * C**2 - A**2) / (2 * s**2), rel=1e-14)
-    assert b2 == pytest.approx(
-        1 - dz * (2 * C**2 - A**2) / (C * s) - dx**2 * (4 * C**4 + A**2 * C**2 - A**4) / (2 * C**2 * s**2),
-        rel=1e-14,
-    )
-    assert b3 == pytest.approx(
-        1 - dz * (2 * C**2 - A**2) / (C * s) - dx**2 * (2 * C**2 + A**2) / (2 * s**2),
-        rel=1e-14,
-    )
+    b1_dz = 1 - dz * C / s
+    b1_dx = 1 - dx**2 * (2 * C**2 - A**2) / (2 * s**2)
+    b2_dx = 1 - dx**2 * (4 * C**4 + A**2 * C**2 - A**4) / (2 * C**2 * s**2)
+    b3_dx = 1 - dx**2 * (2 * C**2 + A**2) / (2 * s**2)
+    assert displaced_field_brackets(A, C, dx, 0.0) == pytest.approx((b1_dx, b2_dx, b3_dx), rel=1e-14)
+    assert displaced_field_brackets(A, C, 0.0, dz)[0] == pytest.approx(b1_dz, rel=1e-14)
+    V = 0.8
+    for mode in ("published", "recomputed"):
+        q, l = strip_coefficients(STRIP, mode)
+        rep = relative_hic_error(STRIP, V, PlacementError(dx=dx, dz=dz), mode)
+        assert rep.dz_term == pytest.approx(2 * q * V * V * (1 - b1_dz), rel=1e-12)
+        assert rep.dx2_term == pytest.approx(2 * q * V * V * (1 - b1_dx) + l * V * (b2_dx - b3_dx), rel=1e-12)
+
+
+def test_error_terms_follow_the_displaced_field_brackets():
+    rng = np.random.default_rng(0)
+    cases = [(A, C, 0.0, 0.0), (A, C, 1.2e-9, 0.8e-9), (C * math.sqrt(2), C, 1e-9, 1e-9)]
+    for _ in range(200):  # offsets up to 0.2 c, where the dropped dz^2 terms stay small
+        c = rng.uniform(2e-9, 30e-9)
+        cases.append((c * rng.uniform(0.2, 3.0), c, c * rng.uniform(-0.2, 0.2), c * rng.uniform(-0.2, 0.2)))
+    V = np.linspace(0.0, 2.0, 5)
+    for a, c, dx, dz in cases:
+        gate = GateGeometry(kind="strip", a=a, c=c, D=100.0 * a)
+        b1_dz, _, _ = displaced_field_brackets(a, c, 0.0, dz)
+        b1_dx, b2_dx, b3_dx = displaced_field_brackets(a, c, dx, 0.0)
+        for mode in ("published", "recomputed"):
+            q, l = strip_coefficients(gate, mode)
+            rep = relative_hic_error(gate, V, PlacementError(dx=dx, dz=dz), mode)
+            # absolute: 1 - b rounds to a few eps of 1, which is all of it at small offsets
+            bound = 4.0 * np.finfo(float).eps * (2.0 * abs(q) * V * V + abs(l) * V)
+            assert np.all(abs(rep.dz_term - 2.0 * q * V * V * (1.0 - b1_dz)) <= bound)
+            assert np.all(abs(rep.dx2_term - (2.0 * q * V * V * (1.0 - b1_dx) + l * V * (b2_dx - b3_dx))) <= bound)
 
 
 # --- relative error ---------------------------------------------------------
@@ -128,7 +153,7 @@ def test_recomputed_quadratic_coefficient_is_the_strip_voltage_polynomial():
 def test_nulling_voltage_reference():
     v = nulling_voltage(STRIP)
     assert v == pytest.approx(V_STAR, rel=1e-12)
-    scale = abs(dz_coefficient(STRIP, v)) / (2 * C / (A**2 + C**2))  # q V^2 magnitude
+    scale = 0.063 * v * v  # q V^2 magnitude
     assert abs(dx2_bracket(STRIP, v)) < 1e-10 * scale / C**2
 
 
@@ -267,6 +292,15 @@ def test_voltage_error_reference_band():
     linear_bound = 1e4 / (1.15e8 * abs(bound.slope))
     assert bound.dV == pytest.approx(linear_bound, rel=0.01)
     assert not bound.stationary
+
+
+def test_nan_or_negative_voltage_and_line_width_are_refused():
+    for V in (math.nan, -0.1, np.array([0.5, math.nan]), np.array([0.5, -0.1])):
+        with pytest.raises(ValueError, match="V must be non-negative"):
+            relative_hic_error(STRIP, V, PlacementError(dx=1e-9, dz=1e-9))
+    for line_width in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="line_width must be non-negative"):
+            admissible_voltage_error(DISC, 1.0, line_width=line_width)
 
 
 def test_voltage_error_zero_line_width():

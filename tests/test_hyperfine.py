@@ -13,7 +13,6 @@ from sidonor.electrostatics import (
     strip_field_coeffs,
 )
 from sidonor.hyperfine import (
-    F2S_OVER_F1S_AT_0,
     HydrogenicState,
     hic_shift,
     matrix_element_2s1s,
@@ -46,10 +45,7 @@ def test_envelope_normalization(label, a_star):
 def test_envelope_origin_ratio():
     f1 = HydrogenicState("1s", 2e-9)
     f2 = HydrogenicState("2s", 2e-9)
-    assert float(f2.value(0.0) / f1.value(0.0)) == pytest.approx(
-        F2S_OVER_F1S_AT_0, rel=1e-14
-    )
-    assert F2S_OVER_F1S_AT_0 == pytest.approx(math.sqrt(2) / 4, rel=1e-15)
+    assert float(f2.value(0.0) / f1.value(0.0)) == pytest.approx(math.sqrt(2) / 4, rel=1e-14)
 
 
 def test_envelope_validation():

@@ -20,13 +20,12 @@ from oracles import (
 )
 
 from sidonor import spectrum
-from sidonor.constants import DEFAULT_CONSTANTS, linear_grid
+from sidonor.constants import linear_grid
 from sidonor.spectrum import (
     SpectrumSweep,
     Track,
     adiabatic_transfer_trace,
     eigensolve_block,
-    eq19_gap,
     eq19_gap_dimensionless,
     find_anticrossings,
     spin_transfer_reports,
@@ -777,15 +776,6 @@ def test_equal_coupling_anticross_is_the_same_on_every_openblas_kernel(tmp_path)
 
 # --- strong-field gap formula -----------------------------------------------
 
-def test_eq19_matches_dimensionless_times_exchange():
-    B, J = 2.0, 7.416e-24
-    beta = 2 * DEFAULT_CONSTANTS.mu_B * B / J
-    alpha = 0.05
-    gap, nu = eq19_gap(B, J, alpha * J)
-    assert gap == pytest.approx(eq19_gap_dimensionless(alpha, beta) * J, rel=1e-12)
-    assert nu == pytest.approx(gap / DEFAULT_CONSTANTS.h, rel=1e-14)
-
-
 def test_eq19_numeric_agreement_improves_with_field():
     alpha = 0.05
     rels = {}
@@ -797,24 +787,3 @@ def test_eq19_numeric_agreement_improves_with_field():
         rels[beta] = abs((w[1] - w[0]) - closed) / closed
     assert rels[5.0] < 0.05
     assert rels[10.0] < rels[5.0]
-
-
-def test_eq19_trivial_cases():
-    assert eq19_gap(B=1.0, J=0.0, A=1e-25) == (0.0, 0.0)
-    assert eq19_gap(B=1.0, J=1e-24, A=0.0) == (0.0, 0.0)
-
-
-def test_eq19_domain_errors():
-    zeeman = 2 * DEFAULT_CONSTANTS.mu_B  # at B = 1 T
-    with pytest.raises(ValueError):
-        eq19_gap(B=1.0, J=zeeman, A=1e-26)  # pole region
-    with pytest.raises(ValueError):
-        eq19_gap(B=1.0, J=zeeman / 2.0, A=1e-26)  # beta = 2 < validity window
-    with pytest.raises(ValueError):
-        eq19_gap(B=-1.0, J=1e-25, A=1e-26)
-    with pytest.raises(ValueError):
-        eq19_gap(B=1.0, J=-1e-25, A=1e-26)
-    for bad in ({"B": np.nan}, {"J": np.nan}, {"A": np.nan}, {"B": np.inf}, {"J": np.inf},
-                {"A": np.inf}, {"A": -np.inf}):
-        with pytest.raises(ValueError):
-            eq19_gap(**{"B": 1.0, "J": 1e-25, "A": 1e-26, **bad})

@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -117,10 +118,11 @@ def test_exact_symmetry():
 
 
 def test_basis_indexing():
-    assert BASIS[0].arrows() == "uuuu"
-    assert BASIS[4].arrows() == "uduu"   # |5>
-    assert BASIS[12].arrows() == "dduu"  # |13>
-    assert BASIS[15].arrows() == "dddd"  # |16>
+    u, d = 0.5, -0.5  # (index, Ma, Mb, ma, mb)
+    assert astuple(BASIS[0]) == (1, u, u, u, u)
+    assert astuple(BASIS[4]) == (5, u, d, u, u)
+    assert astuple(BASIS[12]) == (13, d, d, u, u)
+    assert astuple(BASIS[15]) == (16, d, d, d, d)
 
 
 def test_block_index_sets():
@@ -244,15 +246,6 @@ def test_solver_sectors_split_blocks_where_the_swap_commutes_to_rounding():
         sectors = solver_sectors(field_free_hamiltonian(0.3, alpha_b))
         assert sectors == EXCHANGE_SECTORS
         assert [s.labels for s in sectors[-1]] == [(8, 14), (12, 15)]
-
-
-def test_from_physical_conversion():
-    pc_ratio = MU_OVER_BETA
-    p = SpinParams.from_physical(B=2.0, J=7.4e-24, A_a=3e-25, A_b=4e-25)
-    assert p.mu / p.beta == pytest.approx(pc_ratio, rel=1e-12)
-    assert p.alpha_a == pytest.approx(3e-25 / 7.4e-24, rel=1e-14)
-    with pytest.raises(ValueError):
-        SpinParams.from_physical(B=1.0, J=0.0, A_a=0.0, A_b=0.0)
 
 
 def test_mu_beta_ratio_value():
