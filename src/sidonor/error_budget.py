@@ -77,14 +77,13 @@ class NullingTable:
         return self.a.size
 
 
-_StripTerms = namedtuple("_StripTerms", "a2 c2 a4 c4 s p2 p4")
+_StripTerms = namedtuple("_StripTerms", "c2 s p2 p4")
 
 
 def _strip_terms(a, c) -> _StripTerms:
-    """a^2, c^2, a^4, c^4, s = a^2 + c^2, p2 = 2c^2 - a^2, p4 = 2c^4 - a^4 without pow."""
+    """c^2, s = a^2 + c^2, p2 = 2c^2 - a^2, p4 = 2c^4 - a^4 without pow."""
     a2, c2 = a * a, c * c
-    a4, c4 = a2 * a2, c2 * c2
-    return _StripTerms(a2, c2, a4, c4, a2 + c2, 2.0 * c2 - a2, 2.0 * c4 - a4)
+    return _StripTerms(c2, a2 + c2, 2.0 * c2 - a2, 2.0 * (c2 * c2) - a2 * a2)
 
 
 def strip_gate_terms(gate: GateGeometry) -> _StripTerms:
@@ -191,8 +190,10 @@ def dz_for_target(
     """Depth offset dz producing the target relative error (dx = 0).
 
     inf where the dz coefficient is 0, as at V = 0.  V is a float or a 1-D
-    array, and the result has its shape.
+    array, and the result has its shape.  A negative or NaN V is refused.
     """
+    if not np.all(np.asarray(V) >= 0):
+        raise ValueError("V must be non-negative")
     with np.errstate(all="ignore"):
         t = strip_gate_terms(gate)
         q, _ = strip_coefficients(gate, coefficients, mat)
@@ -259,10 +260,13 @@ def admissible_voltage_error(
     Solves |slope| dV + |quad| dV^2 = line_width / A0 for dV, which reduces
     to line_width / (A0 |slope|) away from stationary points and to the
     quadratic bound sqrt(line_width / (A0 |quad|)) at one (flagged).  V is a
-    float or a 1-D array; dV, stationary and slope have its shape.
+    float or a 1-D array; dV, stationary and slope have its shape.  A
+    negative or NaN V or line width is refused.
     """
     if not (line_width >= 0):
         raise ValueError("line_width must be non-negative")
+    if not np.all(np.asarray(V) >= 0):
+        raise ValueError("V must be non-negative")
     if A0_Hz is None:
         A0_Hz = hyperfine_constant_A0(mat)[1]
     lin, quad = voltage_polynomial(gate, mat)

@@ -1,23 +1,30 @@
 """Spectrum sweeps versus the reduced field beta = 2 mu_B B / J.
 
-A sweep diagonalizes each conserved-projection block on a beta grid and
-connects eigenvectors between adjacent grid points by maximal overlap
-("adiabatic tracks").  Where the donor swap commutes with H to rounding
-(``spin_hamiltonian.solver_sectors``), each block is solved and tracked as
-its even and odd exchange-symmetry sectors instead; a track's labels are
-then those of its sector's basis.  This module builds no matrix: every
-H(beta) it solves comes from ``spin_hamiltonian.SectorHamiltonian.stack``.  On top of the tracks:
+A sweep diagonalizes each conserved-projection block on a beta grid.  Where
+the donor swap commutes with H to rounding
+(``spin_hamiltonian.solver_sectors``), each block is solved as its even and
+odd exchange-symmetry sectors instead; a track's labels are then those of
+its sector's basis.  Each block or sector is split once more into the
+connected components of its couplings, which differ from it only where a
+coupling is exactly zero.  Two levels of one component never cross (an
+exact crossing needs a symmetry, and every symmetry that a zero coupling
+makes is a split into components), so the k-th eigenvalue of a component
+is one adiabatic track at every beta: a track is an eigensolver column, and
+no eigenvector is matched between grid points.  This module builds no
+matrix: every H(beta) it solves comes from
+``spin_hamiltonian.SectorHamiltonian.stack``.  On top of the tracks:
 
-* :func:`find_anticrossings` locates level crossings (sign changes of a
-  track-pair gap, only possible for uncoupled pairs) and anticrossings.
-  An anticrossing is detected as a *character exchange*: a track whose
-  dominant basis state at the high-beta end differs from the one at the
-  low-beta end.  Its location ``beta_star`` is the half-transfer point where
-  the entering character's weight crosses 1/2, and ``min_gap`` is the
-  distance to the nearest same-sector level there.  For weakly coupled pairs
-  this reduces to the textbook minimum-gap point; for the strongly mixed
-  regime (alpha ~ 0.3) it remains well defined where a plain adjacent-gap
-  minimum does not.
+* :func:`find_anticrossings` locates level crossings (sign changes of the
+  gap between tracks of different components, which never couple) and
+  anticrossings.  An anticrossing is detected as a *character exchange*: a
+  track whose dominant basis state at the high-beta end differs from the
+  one at the low-beta end.  Its location ``beta_star`` is the half-transfer
+  point where the entering character's weight crosses 1/2, and ``min_gap``
+  is the distance to the nearest level of the same component there.  For
+  weakly coupled pairs this reduces to the textbook minimum-gap point; for
+  the strongly mixed regime (alpha ~ 0.3) it remains well defined where a
+  plain adjacent-gap minimum does not.  An exchange whose gap the final
+  bisection bracket cannot tell from a crossing is reported as one.
 * :func:`adiabatic_transfer_trace` certifies which basis state each track
   turns into across the sweep, with the dominant weights at both ends.
 * :func:`eq19_gap_dimensionless` is the strong-field closed form, in units
@@ -29,22 +36,12 @@ Every diagonalization goes through :func:`eigensolve_block`, which solves a
 whole stack of matrices at once: a stack of 2 x 2 matrices (five of the eight
 exchange sectors) in closed form, one Jacobi rotation each, and
 any other size with LAPACK (``np.linalg.eigh``).  A sweep makes one call per
-sector for the entire beta grid, and each bisection step is one call over the
-midpoints of every exchanging track of a sector.  Only the midpoint
-refinement of an ambiguous tracking step solves one point.
-
-Tracking is whole-grid too: one stacked product gives the |overlap| matrices
-of every pair of adjacent grid points of a sector.  A step is still where
-every column's overlap with its own column at the next point leads the rest
-of its row by ``OVERLAP_AMBIGUITY``: every track keeps its column there.
-Only the other steps run the greedy :func:`_match` with midpoint refinement,
-which logs a warning when it reaches the refinement depth cap still
-ambiguous.
+component for the entire beta grid, and each bisection step is one call over
+the midpoints of every exchanging track of a component.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,12 +52,8 @@ from .spin_hamiltonian import BASIS, BLOCK_ORDER, Sector, SectorHamiltonian
 
 DEFAULT_BETA_GRID = np.array(linear_grid(*DEFAULT_BETA_RANGE))
 
-OVERLAP_AMBIGUITY = 1e-6
-_MAX_REFINE_DEPTH = 24
 # a gap below CROSSING_TOL times the local energy scale (at least 1) is a crossing
 CROSSING_TOL = 1e-9
-
-_log = logging.getLogger(__name__)
 
 # lowest electron level at strong field: both electrons down (M = -1)
 GROUND_QUARTET = (13, 14, 15, 16)
@@ -143,10 +136,10 @@ def _eigh_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Track:
-    """One adiabatically-continued eigenvalue track of a symmetry sector."""
+    """One adiabatic eigenvalue track: one eigensolver column of a component."""
 
     block: int                 # M + m of the block
-    basis: tuple[int, ...]     # labels of the sector's basis states (Sector.labels)
+    basis: tuple[int, ...]     # labels of the component's basis states (Sector.labels)
     energies: np.ndarray       # (n_beta,), units of J
     vectors: np.ndarray        # (n_beta, dim), eigenvector components in that basis
     parity: int = 0            # Sector.parity: +1 even, -1 odd, 0 for a whole block
@@ -166,7 +159,7 @@ class Track:
 @dataclass(frozen=True)
 class SpectrumSweep:
     # tracks: blocks in listing order, ascending within a block at the first
-    # grid point, the even sector first on an exact tie
+    # grid point, on an exact tie in component order and then by rank
     beta_grid: np.ndarray
     tracks: list[Track]
     system: SectorHamiltonian  # the Hamiltonian the tracks were solved with
@@ -180,10 +173,10 @@ class SpectrumSweep:
 class AnticrossingReport:
     pair: tuple[int, int]      # (entering label at high beta, label after exchange)
     beta_star: float
-    min_gap: float             # units of J; 0 for true crossings
+    min_gap: float             # units of J; 0 for a crossing found by a sign change
     block: int
     kind: str                  # "anticrossing" | "crossing"
-    partner: int | None        # dominant label of the nearest level at beta_star
+    partner: int | None        # dominant label of the nearest component level at beta_star; None: sign change
     enter_weight: float
     exit_weight: float
 
@@ -199,106 +192,16 @@ class TransferTrace:
     conclusive: bool           # both end weights >= 0.6
 
 
-def _greedy_match(v0: np.ndarray, v1: np.ndarray) -> tuple[list[int], float]:
-    """Assign new eigenvectors to previous tracks by largest |overlap|.
-
-    Returns (perm, margin): perm[i] is the v1 column continuing track i;
-    margin is the smallest lead of a chosen overlap over its best remaining
-    alternative in the same row (ambiguity signal).
-    """
-    O = np.abs(v0.T @ v1)
-    n = O.shape[0]
-    perm = [-1] * n
-    margin = np.inf
-    avail_c = set(range(n))
-    work = O.copy()
-    for _ in range(n):
-        i, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        alternatives = [O[i, k] for k in avail_c if k != j]
-        if alternatives:
-            margin = min(margin, O[i, j] - max(alternatives))
-        perm[i] = j
-        avail_c.discard(j)
-        work[i, :] = -1.0
-        work[:, j] = -1.0
-    return perm, float(margin)
-
-
-def _match(system: SectorHamiltonian, sector: Sector, b0, v0, b1, v1, depth: int = 0) -> list[int]:
-    """Overlap matching with deterministic local refinement on ambiguity."""
-    perm, margin = _greedy_match(v0, v1)
-    if margin >= OVERLAP_AMBIGUITY:
-        return perm
-    if depth >= _MAX_REFINE_DEPTH:
-        _log.warning(
-            "%s: overlap margin %.3g still below %g after %d refinements "
-            "on beta [%r, %r]; kept the greedy assignment",
-            sector.name, margin, OVERLAP_AMBIGUITY, depth, float(b0), float(b1),
-        )
-        return perm
-    bm = 0.5 * (b0 + b1)
-    vm = eigensolve_block(system.stack(sector, [bm]))[1][0]
-    p_left = _match(system, sector, b0, v0, bm, vm, depth + 1)
-    vm_aligned = vm[:, p_left]
-    p_right = _match(system, sector, bm, vm_aligned, b1, v1, depth + 1)
-    return p_right
-
-
-def _sector_tracks(system: SectorHamiltonian, sector: Sector, betas, energies, vectors):
-    """The tracks of ``sector`` from its eigenpairs at every grid point.
-
-    ``energies`` (n_beta, dim) and ``vectors`` (n_beta, dim, dim) are in the
-    eigensolver's column order.
-    """
-    n, dim = energies.shape
-    perm = np.empty((n, dim), dtype=np.intp)  # perm[i, t]: the column continuing track t at point i
-    cols = np.arange(dim)
-    first = 0  # first grid point at which the tracks sit in ``cols``
-    if dim > 1:  # a one-level sector is one track as it stands
-        # overlap[i, r, c] = |<raw column r at i | raw column c at i+1>|
-        overlap = np.matmul(np.swapaxes(vectors[:-1], -1, -2), vectors[1:])
-        np.abs(overlap, out=overlap)
-        own = overlap.diagonal(axis1=-2, axis2=-1).copy()
-        overlap[:, np.arange(dim), np.arange(dim)] = -1.0  # leaves each row's other entries
-        # A step is still where every column's own overlap leads the rest
-        # of its row by OVERLAP_AMBIGUITY: greedy matching keeps every
-        # track in its column there, whatever order the tracks are in, and
-        # refines nothing.  Every other step is matched.
-        still = np.all(own - overlap.max(axis=-1) >= OVERLAP_AMBIGUITY, axis=-1)
-        del overlap  # freed before the tracks are gathered, for peak memory
-        for i in np.flatnonzero(~still).tolist():
-            perm[first:i + 1] = cols
-            cols = _match(system, sector, betas[i], vectors[i][:, cols], betas[i + 1], vectors[i + 1])
-            first = i + 1
-    perm[first:] = cols
-    rows = np.arange(n)
-    return [
-        Track(
-            block=sector.block,
-            basis=sector.labels,
-            energies=energies[rows, perm[:, t]],
-            vectors=vectors[rows, :, perm[:, t]],
-            parity=sector.parity,
-        )
-        for t in range(dim)
-    ]
-
-
 def sweep_spectrum(
     alpha_a: float, alpha_b: float, beta_grid=None, mu: float | None = None
 ) -> SpectrumSweep:
-    """Diagonalize all sectors over the beta grid with adiabatic continuation.
+    """Diagonalize all components over the beta grid, one track per eigenvalue rank.
 
-    Each sector (see :class:`SectorHamiltonian`) is one stacked
-    :func:`eigensolve_block` call over the whole grid; a whole-block sector
-    is the block of ``build_hamiltonian``, bit for bit.
-    Adjacent points are connected through one stacked product
-    |V[:-1]^T V[1:]| of the sector's eigenvector columns: where every
-    column's own overlap leads the rest of its row by at least
-    ``OVERLAP_AMBIGUITY``, the step keeps every track in its column; any
-    other step runs the exact greedy :func:`_match`, midpoint refinement
-    included.  The tracks are bit-identical to greedy matching at every grid
-    point.
+    Each component (see :class:`SectorHamiltonian`) is one stacked
+    :func:`eigensolve_block` call over the whole grid; a whole-block
+    component is the block of ``build_hamiltonian``, bit for bit.  Its
+    levels never cross, so its k-th column at every grid point is its k-th
+    track.
 
     ``alpha_a`` and ``alpha_b`` are the hyperfine couplings in units of J.
     ``mu=None`` ties mu to beta through the physical ratio g_N mu_N / (2 mu_B)
@@ -317,32 +220,41 @@ def sweep_spectrum(
         block_tracks = []
         for sector in system.sectors[key]:
             w, v = eigensolve_block(system.stack(sector, betas))
-            block_tracks += _sector_tracks(system, sector, betas, w, v)
-        # stable: on an exact tie at the first grid point the even sector comes first
+            block_tracks += [
+                Track(block=key, basis=sector.labels, energies=w[:, k], vectors=v[:, :, k], parity=sector.parity)
+                for k in range(len(sector.states))
+            ]
+        # stable: on an exact tie at the first grid point the earlier component comes
+        # first, and a component's tracks stay in rank order
         block_tracks.sort(key=lambda track: track.energies[0])
         tracks += block_tracks
     return SpectrumSweep(betas, tracks, system)
 
 
 def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track]) -> list[AnticrossingReport]:
-    """Anticrossing reports of the exchanging tracks of one sector, bisected in lockstep.
+    """Anticrossing reports of the exchanging tracks of one component, bisected in lockstep.
 
-    A track exchanges when its dominant label at the high-beta end differs
-    from the one at the low-beta end.  Its ``beta_star`` is the half-transfer
-    point of the entering character: the highest grid step where f turns
-    from negative to non-negative, bisected 16 times.  If the entering weight
-    never reaches 1/2 (strong mixing), f is the dominance swap between the
-    two exchanging characters instead.  Every bisection step solves the
-    midpoints of all the sector's reports in one stacked call, and one more
-    call solves their ``beta_star``; each report's midpoints depend only on
-    its own values, so each report is what bisecting it alone gives.
-    ``min_gap`` and ``partner`` come from the track's own sector: a level of
-    the other sector crosses it exactly.
+    ``tracks`` are the component's tracks in rank order.  A track exchanges
+    when its dominant label at the high-beta end differs from the one at the
+    low-beta end.  Its ``beta_star`` is the half-transfer point of the
+    entering character: the highest grid step where f turns from negative to
+    non-negative, bisected 16 times in the track's rank column.  If the
+    entering weight never reaches 1/2 (strong mixing), f is the dominance
+    swap between the two exchanging characters instead.  Every bisection
+    step solves the midpoints of all the component's reports in one stacked
+    call, and one more call solves their ``beta_star``; each report's
+    midpoints depend only on its own values, so each report is what
+    bisecting it alone gives.  ``min_gap`` and ``partner`` come from the
+    track's own component: a level of another component crosses it exactly.
+    The report is a crossing where ``min_gap`` is at most CROSSING_TOL times
+    the energy scale, or at most the two levels' slope difference
+    (Hellmann-Feynman, :meth:`SectorHamiltonian.slope`) times the final
+    bracket: the bisection cannot tell such a gap from zero.
     """
     system, betas = sweep.system, sweep.beta_grid
     key, basis = sector.block, sector.labels
-    found = []  # (track, j_hi, j_lo, use_half, i0) of each bracketed exchange
-    for track in tracks:
+    found = []  # (track, rank, j_hi, j_lo, use_half, i0) of each bracketed exchange
+    for rank, track in enumerate(tracks):
         enter_label, exit_label = track.dominant(-1)[0], track.dominant(0)[0]
         if enter_label == exit_label:
             continue
@@ -353,20 +265,17 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
         f = whi - 0.5 if use_half else whi - wts[:, j_lo]
         ups = np.flatnonzero((f[1:] >= 0.0) & (f[:-1] < 0.0))
         if ups.size:
-            found.append((track, j_hi, j_lo, use_half, int(ups[-1])))
+            found.append((track, rank, j_hi, j_lo, use_half, int(ups[-1])))
     if not found:
         return []
 
-    exchanging, j_hi, j_lo, use_half, i0 = zip(*found)
+    exchanging, col, j_hi, j_lo, use_half, i0 = zip(*found)
     i0 = np.array(i0)
-    # each track's vector at the top of its bracket identifies its column at a midpoint
-    v_ref = np.stack([t.vectors[i + 1] for t, i in zip(exchanging, i0.tolist())])[:, None, :]
     lo, hi = betas[i0], betas[i0 + 1]
     k = np.arange(len(found))
     for _ in range(16):
         mid = 0.5 * (lo + hi)
         _, v = eigensolve_block(system.stack(sector, mid))
-        col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1)
         wcol = v[k, :, col] ** 2
         val = wcol[k, j_hi] - np.where(use_half, 0.5, wcol[k, j_lo])
         up = val >= 0.0
@@ -374,21 +283,23 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
     beta_star = 0.5 * (lo + hi)
 
     w, v = eigensolve_block(system.stack(sector, beta_star))
-    col = np.argmax(np.abs(np.matmul(v_ref, v)[:, 0]), axis=-1).tolist()
+    slope = system.slope(sector)
     reports = []
     for r, track in enumerate(exchanging):
-        dist = np.abs(w[r] - w[r, col[r]])
-        dist[col[r]] = np.inf
+        c = col[r]
+        dist = np.abs(w[r] - w[r, c])
+        dist[c] = np.inf
         partner_col = int(np.argmin(dist))
         gap = dist[partner_col]
         scale = max(1.0, float(np.max(np.abs(w[r]))))
+        resolution = abs(np.dot(v[r, :, c] ** 2 - v[r, :, partner_col] ** 2, slope)) * (hi[r] - lo[r])
         reports.append(
             AnticrossingReport(
                 pair=(basis[j_hi[r]], basis[j_lo[r]]),
                 beta_star=float(beta_star[r]),
                 min_gap=float(gap),
                 block=key,
-                kind="anticrossing" if gap > CROSSING_TOL * scale else "crossing",
+                kind="anticrossing" if gap > max(CROSSING_TOL * scale, resolution) else "crossing",
                 partner=basis[int(np.argmax(np.abs(v[r, :, partner_col])))],
                 enter_weight=track.dominant(-1)[1],
                 exit_weight=track.dominant(0)[1],
@@ -398,16 +309,19 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
 
 
 def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[AnticrossingReport]:
-    """Crossing reports of one block: each sign change of a pair's energy difference.
+    """Crossing reports of one block: each sign change of the energy difference of two components' tracks.
 
-    Tracks of the two sectors of a block never couple, so they cross exactly,
-    and each sign change between them is a crossing by parity alone.  A pair
-    within CROSSING_TOL everywhere is degenerate, not crossing.
+    Tracks of two components of a block never couple, so they cross exactly,
+    and each sign change between them is a crossing.  Two tracks of one
+    component never cross.  A pair within CROSSING_TOL everywhere is
+    degenerate, not crossing.
     """
     betas = sweep.beta_grid
     out = []
     for s in range(len(block_tracks)):
         for t in range(s + 1, len(block_tracks)):
+            if block_tracks[s].basis == block_tracks[t].basis:
+                continue  # one component
             d = block_tracks[s].energies - block_tracks[t].energies
             scale = max(
                 1.0,
@@ -445,16 +359,18 @@ def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[A
 def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
     """All character exchanges (anticrossings) and true crossings of the sweep.
 
-    Exchanges are found and bisected within each sector; a sector gap below
-    ``CROSSING_TOL`` (relative to the local energy scale) makes the exchange
-    a crossing.  Crossings are found between all tracks of a block.
+    Exchanges are found and bisected within each component (see
+    :func:`_exchange_reports` for when one is a crossing).  Crossings are
+    found between the tracks of different components of a block.
     Deterministic ordering by (beta_star, block, pair).
     """
     reports, crossings = [], []
     for key in BLOCK_ORDER:
         block_tracks = [t for t in sweep.tracks if t.block == key]
         for sector in sweep.system.sectors[key]:
-            tracks = [t for t in block_tracks if t.parity == sector.parity]
+            # a block can hold two components of one parity; the stable sort
+            # of sweep_spectrum keeps each component's tracks in rank order
+            tracks = [t for t in block_tracks if t.basis == sector.labels]
             if len(tracks) > 1:
                 reports += _exchange_reports(sweep, sector, tracks)
         if len(block_tracks) > 1:

@@ -17,9 +17,13 @@ At alpha_a = alpha_b the donor swap (Ma, Mb, ma, mb) -> (Mb, Ma, mb, ma)
 commutes with H as well, and each block splits again into an even and an
 odd exchange-symmetry sector, sizes 4 + 2, 2 + 2, 2 + 2, 1 + 0 and 1 + 0.
 :func:`solver_sectors` holds the one rule for when a config is solved in
-these sectors: its even-odd entries are rounding (``SWAP_ROUNDING``).
-:class:`SectorHamiltonian` assembles H(beta) in each sector it chooses,
-reading the sector's part straight off the 16 x 16 operators.
+these sectors: its even-odd entries are rounding (``SWAP_ROUNDING``).  It
+then splits each chosen sector into the connected components of its
+field-free part: a coupling that is exactly zero (alpha = 0) decouples
+states, and the field terms are diagonal, so no beta couples them again.
+Within a component no two levels cross, so its k-th eigenvalue is one
+adiabatic level at every beta.  :class:`SectorHamiltonian` assembles H(beta)
+in each component, reading its part straight off the 16 x 16 operators.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ SWAP: dict[int, int] = {s.index: _BY_SPINS[s.Mb, s.Ma, s.mb, s.ma] for s in BASI
 
 @dataclass(frozen=True)
 class Sector:
-    """The basis of one exchange-symmetry sector of a block, or of a whole block.
+    """The basis of one exchange-symmetry sector of a block, of a whole block, or of a component of either.
 
     Each state is (label, p, q, sign), with p and q basis indices minus 1:
     the product state |p> when sign is 0 (then q = p), else the pair state
@@ -181,10 +185,6 @@ class Sector:
     @property
     def labels(self) -> tuple[int, ...]:
         return tuple(state[0] for state in self.states)
-
-    @property
-    def name(self) -> str:
-        return f"block {self.block}" + {1: " even", -1: " odd", 0: ""}[self.parity]
 
 
 def _sectors(key: int) -> tuple[Sector, ...]:
@@ -240,25 +240,47 @@ def _rotate(c: np.ndarray, rows: Sector, cols: Sector) -> np.ndarray:
 SWAP_ROUNDING = 1e4
 
 
+def _components(sector: Sector, c0: np.ndarray) -> tuple[Sector, ...]:
+    """``sector`` split into the connected components of its field-free part ``c0``.
+
+    Two states are coupled where their entry is not exactly zero.  The
+    components keep the sector's state order and are listed by their first
+    state.
+    """
+    reach = c0 != 0.0
+    np.fill_diagonal(reach, True)
+    for _ in range(len(c0).bit_length()):  # squaring doubles the path length
+        reach = reach.astype(np.intp) @ reach > 0
+    rows = dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in reach)
+    return tuple(Sector(sector.block, sector.parity, tuple(sector.states[i] for i in row)) for row in rows)
+
+
 def solver_sectors(h0: np.ndarray) -> dict[int, tuple[Sector, ...]]:
-    """The sectors that each block is solved in, from the 16 x 16 H at beta = mu = 0.
+    """The components that each block is solved in, from the 16 x 16 H at beta = mu = 0.
 
     The field terms commute with the donor swap, so the swap commutes with H
     when it commutes with ``h0``.  Where every even-odd entry is at most
     ``SWAP_ROUNDING`` ulps of its block's largest entry, that is rounding and
     each block is solved as its exchange sectors; otherwise each block is
-    solved whole.  An entry that overflows is no rounding.
+    solved whole.  An entry that overflows is no rounding.  Each of these
+    sectors is then split into the connected components of its part of
+    ``h0`` (:func:`_components`); the field terms are diagonal, so the
+    components hold at every beta.  They are listed sector by sector, the
+    even sector first.
     """
-    for key in BLOCK_ORDER:
-        sectors = EXCHANGE_SECTORS[key]
-        if len(sectors) == 2:
-            idx = np.array(BLOCKS[key]) - 1
-            scale = np.max(np.abs(h0[np.ix_(idx, idx)]))
-            with np.errstate(over="ignore", invalid="ignore"):
-                cross = np.abs(_rotate(h0, *sectors))
-            if not np.all(cross <= SWAP_ROUNDING * np.finfo(float).eps * scale):
-                return {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
-    return EXCHANGE_SECTORS
+    sectors = EXCHANGE_SECTORS
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in BLOCK_ORDER:
+            if len(sectors[key]) == 2:
+                idx = np.array(BLOCKS[key]) - 1
+                scale = np.max(np.abs(h0[np.ix_(idx, idx)]))
+                cross = np.abs(_rotate(h0, *sectors[key]))
+                if not np.all(cross <= SWAP_ROUNDING * np.finfo(float).eps * scale):
+                    sectors = {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+                    break
+        return {
+            key: tuple(c for s in sectors[key] for c in _components(s, _rotate(h0, s, s))) for key in BLOCK_ORDER
+        }
 
 
 class SectorHamiltonian:
@@ -268,11 +290,11 @@ class SectorHamiltonian:
     Cm = -(I_az + I_bz), all 16 x 16.  ``mu=None`` slaves mu to beta through
     MU_OVER_BETA; a number holds it fixed.
 
-    ``sectors[key]`` lists the sectors that block ``key`` is solved in, as
-    :func:`solver_sectors` chooses them from C0.  Each sector's part of C0,
-    Cb and Cm is read off the operator by :func:`_rotate`, a bitwise identity
-    for a whole block; the dropped even-odd entries are at most rounding, so
-    two sectors are solved and tracked apart.
+    ``sectors[key]`` lists the components that block ``key`` is solved in,
+    as :func:`solver_sectors` chooses them from C0.  Each component's part of
+    C0, Cb and Cm is read off the operator by :func:`_rotate`, a bitwise
+    identity for a whole block; the dropped entries between components are
+    zero, or even-odd rounding, so each component is solved apart.
     """
 
     def __init__(self, alpha_a: float, alpha_b: float, mu: float | None):
@@ -301,3 +323,13 @@ class SectorHamiltonian:
             h += c0
             h += mu * cm
         return h
+
+    def slope(self, sector: Sector) -> np.ndarray:
+        """dH/dbeta of ``sector``, which is diagonal: its diagonal as a vector.
+
+        diag(Cb) + MU_OVER_BETA diag(Cm) with mu slaved, diag(Cb) with mu
+        fixed.  A level's slope dE/dbeta is its weights (v**2) times this
+        (Hellmann-Feynman).
+        """
+        _, cb, cm = self._parts[sector]
+        return np.diag(cb) + MU_OVER_BETA * np.diag(cm) if self.mu is None else np.diag(cb)

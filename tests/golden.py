@@ -53,6 +53,10 @@ CASES = {
     "spectrum-without-config": (["spectrum", "--format", "csv"], None, "spectrum"),
     "anticross": (["anticross"], README_CONFIG, "anticross"),
     "anticross-fine": (["anticross"], FINE_CONFIG, "anticross-fine"),
+    # a default grid that steps over narrow anticrossings, and an exactly zero coupling
+    "anticross-weak": (["anticross", "--set", "spin.alpha_a=0.001", "--set", "spin.alpha_b=0.002"],
+                       README_CONFIG, "anticross-weak"),
+    "anticross-alpha-a-zero": (["anticross", "--set", "spin.alpha_a=0"], README_CONFIG, "anticross-alpha-a-zero"),
     "alpha-nan": (["spectrum", "--set", "spin.alpha_a=NaN"], README_CONFIG, "alpha-nan"),
 }
 

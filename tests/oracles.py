@@ -10,10 +10,9 @@ builds from the spin projections, the exchanges at weak coupling from
 first-order degenerate perturbation theory (:func:`weak_coupling_exchanges`),
 and the placement error terms from the paper's displaced-field brackets
 (:func:`displaced_field_brackets`).  The exceptions are the per-point loops
-that whole-grid code must reproduce bit for bit: :func:`per_point_tracks` for the
-tracking in ``sweep_spectrum``, :func:`per_report_bisection` for the lockstep
-bisection in ``find_anticrossings``, :func:`per_point_nulling` for the mesh
-search in ``find_nulling_parameters``, :func:`per_row_error_budget` for the
+that whole-grid code must reproduce bit for bit: :func:`per_report_bisection`
+for the lockstep bisection in ``find_anticrossings``, :func:`per_point_nulling`
+for the mesh search in ``find_nulling_parameters``, :func:`per_row_error_budget` for the
 voltage table of ``error-budget`` (scalar calls per row, against one array
 call per coefficient mode), and :func:`write_table` for the columnar table
 writer in ``cli``, which must write the same bytes.
@@ -85,36 +84,15 @@ def eig_bisect(a, tol=1e-13):
     return np.array(out)
 
 
-def per_point_tracks(alpha_a, alpha_b, beta_grid, mu):
-    """Reference adiabatic tracking: one greedy ``_match`` per grid point and sector.
-
-    Returns a list of (block, energies, vectors) in ``sweep_spectrum``'s
-    track order: by block, then ascending at the first grid point, the even
-    sector first on a tie.
-    """
-    from sidonor.spectrum import _match, eigensolve_block
-    from sidonor.spin_hamiltonian import BLOCK_ORDER, SectorHamiltonian
-
-    betas = np.asarray(beta_grid, dtype=float)
-    system = SectorHamiltonian(alpha_a, alpha_b, mu)
-    out = []
-    for key in BLOCK_ORDER:
-        block = []
-        for sector in system.sectors[key]:
-            energies, vectors = eigensolve_block(system.stack(sector, betas))
-            for i in range(1, betas.size):
-                perm = _match(system, sector, betas[i - 1], vectors[i - 1], betas[i], vectors[i])
-                energies[i] = energies[i, perm]
-                vectors[i] = vectors[i][:, perm]
-            for t in range(len(sector.labels)):
-                block.append((key, energies[:, t].copy(), vectors[:, :, t].copy()))
-        out += sorted(block, key=lambda track: track[1][0])
-    return out
-
-
 def sector_of(system, track):
-    """The sector of ``system`` that ``track`` was solved in."""
-    return next(s for s in system.sectors[track.block] if s.parity == track.parity)
+    """The component of ``system`` that ``track`` was solved in: the one with the track's labels."""
+    return next(s for s in system.sectors[track.block] if s.labels == track.basis)
+
+
+def rank_of(sweep, track):
+    """The eigenvalue rank of ``track`` in its component: its place among the component's tracks."""
+    same = [t for t in sweep.tracks if t.block == track.block and t.basis == track.basis]
+    return next(k for k, t in enumerate(same) if t is track)
 
 
 def sector_rotation(sector):
@@ -241,8 +219,9 @@ def weak_coupling_exchanges(ratio, x_lo=-40.0, x_hi=40.0, points=2001):
 
 
 def _exchange_report(sweep, track):
-    """One track's exchange report, bisected alone with one-point solves."""
+    """One track's exchange report, bisected alone in its rank column with one-point solves."""
     from sidonor.spectrum import CROSSING_TOL, AnticrossingReport, eigensolve_block
+    from sidonor.spin_hamiltonian import BASIS, MU_OVER_BETA
 
     system = sweep.system
     sector = sector_of(system, track)
@@ -263,13 +242,12 @@ def _exchange_report(sweep, track):
     i0 = int(ups[-1])
     i1 = i0 + 1
 
-    v_ref = track.vectors[i1]
+    col = rank_of(sweep, track)
     lo, hi = betas[i0], betas[i1]
     use_half = whi[-1] >= 0.5
     for _ in range(16):
         mid = 0.5 * (lo + hi)
         w, v = (x[0] for x in eigensolve_block(system.stack(sector, [mid])))
-        col = int(np.argmax(np.abs(v_ref @ v)))
         wcol = v[:, col] ** 2
         val = wcol[j_hi] - (0.5 if use_half else wcol[j_lo])
         if val >= 0.0:
@@ -279,15 +257,19 @@ def _exchange_report(sweep, track):
     beta_star = 0.5 * (lo + hi)
 
     w, v = (x[0] for x in eigensolve_block(system.stack(sector, [beta_star])))
-    col = int(np.argmax(np.abs(v_ref @ v)))
     dist = np.abs(w - w[col])
     dist[col] = np.inf
     partner_col = int(np.argmin(dist))
     gap = dist[partner_col]
     partner = track.basis[int(np.argmax(np.abs(v[:, partner_col])))]
 
+    # dH/dbeta from the spin projections: M - mu' (ma + mb), mu' = MU_OVER_BETA if mu is slaved
+    states = [BASIS[label - 1] for label in track.basis]
+    mu_slope = MU_OVER_BETA if system.mu is None else 0.0
+    slope = np.array([s.M - mu_slope * (s.ma + s.mb) for s in states])
+    resolution = abs(np.dot(v[:, col] ** 2 - v[:, partner_col] ** 2, slope)) * (hi - lo)
     scale = max(1.0, float(np.max(np.abs(w))))
-    kind = "anticrossing" if gap > CROSSING_TOL * scale else "crossing"
+    kind = "anticrossing" if gap > max(CROSSING_TOL * scale, resolution) else "crossing"
 
     return AnticrossingReport(
         pair=(enter_label, exit_label),
@@ -305,7 +287,7 @@ def per_report_bisection(sweep):
     """Reference ``find_anticrossings``: each exchanging track bisected on its own.
 
     Every bisection step and the final ``beta_star`` solve is a one-point
-    eigensolve of that track's sector.
+    eigensolve of that track's component, read in the track's rank column.
     """
     from sidonor.spectrum import _crossing_reports
     from sidonor.spin_hamiltonian import BLOCK_ORDER

@@ -941,7 +941,7 @@ def test_extreme_configs_exit_0_with_finite_outputs_or_2_or_3(payload, command):
     [0.2, 1.0, 1.0000000001],
     [1e-320, 2e-320, 1.0],  # subnormal base points
 ], ids=["ulp-step", "tiny-step", "subnormal"])
-def test_refined_export_of_a_grid_with_a_close_pair_stays_in_the_grid(tmp_path, values):
+def test_spectrum_of_a_grid_with_a_close_pair_stays_in_the_grid(tmp_path, values):
     out = tmp_path / "out"
     code, err = run_main(["spectrum", "--out-dir", str(out), "--set", f"spin.beta.values={json.dumps(values)}"])
     assert (code, err) == (0, "")

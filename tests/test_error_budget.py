@@ -303,6 +303,18 @@ def test_nan_or_negative_voltage_and_line_width_are_refused():
             admissible_voltage_error(DISC, 1.0, line_width=line_width)
 
 
+def test_dz_for_target_and_voltage_error_refuse_negative_or_nan_voltage():
+    # unchecked, -0.6 V would give the depth at +0.6 V, and NaN a NaN bound
+    for V in (-0.6, math.nan, np.array([0.5, -0.6]), np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="V must be non-negative"):
+            dz_for_target(STRIP, V, 0.01)
+        with pytest.raises(ValueError, match="V must be non-negative"):
+            admissible_voltage_error(DISC, V)
+    # the edge of the domain still gives a value
+    assert dz_for_target(STRIP, 0.0, 0.01) == math.inf
+    assert admissible_voltage_error(DISC, np.array([0.0, 0.5])).dV.shape == (2,)
+
+
 def test_voltage_error_zero_line_width():
     assert admissible_voltage_error(DISC, 1.0, line_width=0.0).dV == 0.0
 

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     odd_minus_one_anticrossing,
-    per_point_tracks,
     per_report_bisection,
+    rank_of,
     sector_of,
     sector_rotation,
     two_level_eigenvalues,
@@ -40,6 +40,7 @@ from sidonor.spin_hamiltonian import (
     SWAP,
     SWAP_ROUNDING,
     WHOLE_BLOCKS,
+    Sector,
     SectorHamiltonian,
     SpinParams,
     block_decompose,
@@ -114,14 +115,16 @@ def test_sweep_matches_direct_diagonalization(reference_sweep):
 def test_stack_is_the_block_of_build_hamiltonian(alpha_a, alpha_b, betas, mu):
     # the rule's path: exchange sectors where every even-odd entry of the field-free blocks is
     # within SWAP_ROUNDING ulps of its block's largest entry, give or take the rounding of a
-    # product with sector_rotation, else whole blocks
+    # product with sector_rotation, else whole blocks; either split into components
     alpha_b = alpha_a if alpha_b is None else alpha_b
     system = SectorHamiltonian(alpha_a, alpha_b, mu)
-    split = system.sectors == EXCHANGE_SECTORS
-    assert split or system.sectors == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
+    sectors = merged_components(system)
+    split = sectors == EXCHANGE_SECTORS
+    assert split or sectors == {key: (WHOLE_BLOCKS[key],) for key in BLOCK_ORDER}
     ulps = max(map(even_odd_ulps, block_decompose(build_hamiltonian(SpinParams(alpha_a, alpha_b, 0.0, 0.0)))))
     assert ulps <= SWAP_ROUNDING + 8 if split else ulps > SWAP_ROUNDING - 8
-    # whole blocks are the blocks of build_hamiltonian bit for bit, sectors R^T H R to rounding
+    # whole-block components are their part of build_hamiltonian's blocks bit for bit,
+    # sector components R^T H R to rounding
     stacks = {s: system.stack(s, betas) for key in BLOCK_ORDER for s in system.sectors[key]}
     for i, beta in enumerate(betas):
         p = SpinParams(alpha_a, alpha_b, beta, MU_OVER_BETA * beta if mu is None else mu)
@@ -130,11 +133,23 @@ def test_stack_is_the_block_of_build_hamiltonian(alpha_a, alpha_b, betas, mu):
                 h = stacks[sector][i]
                 if not split:
                     assert sector.parity == 0
-                    assert np.array_equal(bits(h), bits(block.matrix))
+                    idx = [block.indices.index(label) for label in sector.labels]
+                    assert np.array_equal(bits(h), bits(block.matrix[np.ix_(idx, idx)]))
                 else:
                     rotation = sector_rotation(sector)
                     tol = 8 * np.finfo(float).eps * np.max(np.abs(block.matrix))
                     assert np.max(np.abs(h - rotation.T @ block.matrix @ rotation)) <= tol
+
+
+def merged_components(system):
+    """``system.sectors`` with each sector's components merged back into the sector."""
+    return {
+        key: tuple(
+            Sector(key, parity, tuple(sorted(state for c in components if c.parity == parity for state in c.states)))
+            for parity in dict.fromkeys(c.parity for c in components)
+        )
+        for key, components in system.sectors.items()
+    }
 
 
 def even_odd_ulps(block):
@@ -188,109 +203,6 @@ def test_mu_modes_differ():
     assert not np.allclose(e_slaved, e_fixed, atol=1e-6)
 
 
-# --- whole-grid tracking against the per-point matching loop ---------------
-
-def assert_same_tracks(alphas, grid, mu):
-    sweep = sweep_spectrum(*alphas, grid, mu)
-    reference = per_point_tracks(*alphas, grid, mu)
-    assert len(sweep.tracks) == len(reference)
-    for track, (block, energies, vectors) in zip(sweep.tracks, reference):
-        assert track.block == block
-        assert np.array_equal(track.energies, energies)
-        assert np.array_equal(track.vectors, vectors)
-
-
-@pytest.mark.parametrize("alphas", [(0.3, 0.4), (0.0, 0.0)], ids=["readme", "bare"])
-@pytest.mark.parametrize("mu", [None, 0.02], ids=["slaved", "fixed"])
-def test_tracking_equals_per_point_loop(alphas, mu):
-    assert_same_tracks(alphas, spectrum.DEFAULT_BETA_GRID, mu)
-
-
-def top_level_matches(monkeypatch):
-    """The (block, parity, b0) of every ``_match`` call that is no midpoint refinement."""
-    calls = []
-    match = spectrum._match
-
-    def counted(system, sector, b0, v0, b1, v1, depth=0):
-        if depth == 0:
-            calls.append((sector.block, sector.parity, float(b0)))
-        return match(system, sector, b0, v0, b1, v1, depth)
-
-    monkeypatch.setattr(spectrum, "_match", counted)
-    return calls
-
-
-def test_tracking_fallback_point_equals_per_point_loop(monkeypatch):
-    # one grid step of this sweep is not still
-    calls = top_level_matches(monkeypatch)
-    assert_same_tracks((0.01, 0.05), np.linspace(0.2, 3.0, 15), None)
-    assert calls
-
-
-def test_tracking_forced_fallback_equals_per_point_loop(monkeypatch):
-    # every margin is below 2, so every step refines to the depth cap
-    monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
-    monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
-    assert_same_tracks(REFERENCE, np.linspace(0.5, 2.5, 9), None)
-
-
-def test_tracking_fallback_after_a_composed_crossing_equals_per_point_loop(monkeypatch):
-    # block -1 crosses, and a later greedy step must start from the track
-    # order that the crossing left
-    alphas, mu = (0.0054950483080437275, 0.0004665505263940834), 0.0005825944132083014
-    grid = np.linspace(0.812464227037491, 1.870758893347987, 52)
-    calls = top_level_matches(monkeypatch)
-    assert_same_tracks(alphas, grid, mu)
-    calls.clear()  # the per-point loop matches every step
-    sweep = sweep_spectrum(*alphas, grid, mu)
-    columns = solver_columns(sweep)[:, [t.block == -1 for t in sweep.tracks]]
-    steps = [np.flatnonzero(grid == b0)[0] for block, _, b0 in calls if block == -1]
-    assert any(np.any(columns[i] != np.arange(4)) for i in steps)
-
-
-def with_fine_window(grid):
-    """A uniform ``grid`` plus points a tenth of its step apart on [0.8, 1.2], around beta = 1."""
-    return np.union1d(grid, np.arange(0.8, 1.2, (grid[1] - grid[0]) / 10))
-
-
-@pytest.mark.parametrize(
-    "alphas, points", [(REFERENCE, 401), ((0.0633, 0.0633), 2001)], ids=["readme", "anticross-fine"]
-)
-def test_still_steps_run_no_matching(monkeypatch, alphas, points):
-    # the README config and a fine grid at equal couplings, each on its uniform grid and a non-uniform one
-    calls = top_level_matches(monkeypatch)
-    grid = np.array(linear_grid(0.2, 3.0, points))
-    for betas in (grid, with_fine_window(grid)):
-        sweep_spectrum(*alphas, betas)
-    assert calls == []
-
-
-def test_matching_runs_only_where_a_column_moves(monkeypatch):
-    # at alpha = mu = 0 two levels cross exactly in the step from beta = 0.998
-    calls = top_level_matches(monkeypatch)
-    sweep = sweep_spectrum(0.0, 0.0, mu=0.0)
-    grid = spectrum.DEFAULT_BETA_GRID
-    i = int(np.flatnonzero(grid == 0.998)[0])
-    assert calls == [(0, 1, 0.998), (-1, -1, 0.998)]
-    columns = solver_columns(sweep)
-    moves = np.flatnonzero(np.any(columns[1:] != columns[:-1], axis=1))
-    assert moves.tolist() == [i]
-
-
-@settings(max_examples=30)
-@given(
-    alpha_a=st.floats(0.0, 1.0),
-    alpha_b=st.floats(0.0, 1.0),
-    start=st.floats(0.0, 2.5),
-    width=st.floats(0.1, 3.0),
-    points=st.integers(3, 60),
-    mu=st.one_of(st.none(), st.floats(-0.01, 0.01)),
-)
-def test_tracking_property_equals_per_point_loop(alpha_a, alpha_b, start, width, points, mu):
-    grid = np.linspace(start, start + width, points)
-    assert_same_tracks((alpha_a, alpha_b), grid, mu)
-
-
 def test_dominant_labels_are_the_per_point_argmax():
     sweep = sweep_spectrum(*REFERENCE, beta_grid=np.linspace(0.2, 3.0, 29))
     for track in sweep.tracks:
@@ -300,17 +212,6 @@ def test_dominant_labels_are_the_per_point_argmax():
             k = int(np.argmax(v**2))
             assert (labels[i], weights[i]) == track.dominant(i) == (track.basis[k], float(v[k] ** 2))
             assert [type(x) for x in track.dominant(i)] == [int, float]
-
-
-def test_refinement_give_up_is_logged(monkeypatch, caplog):
-    monkeypatch.setattr(spectrum, "OVERLAP_AMBIGUITY", 2.0)
-    monkeypatch.setattr(spectrum, "_MAX_REFINE_DEPTH", 1)
-    with caplog.at_level(logging.WARNING, logger="sidonor.spectrum"):
-        sweep_spectrum(*REFERENCE, beta_grid=[0.5, 1.0, 1.5])
-    messages = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
-    # blocks 0, 1, -1 can be ambiguous; each of 2 steps splits once into 2 halves
-    assert len(messages) == 3 * 2 * 2
-    assert any("block -1" in m and "beta [1.25, 1.5]" in m for m in messages)
 
 
 def test_no_give_up_warning_by_default(caplog):
@@ -393,11 +294,11 @@ def test_gap_grows_with_coupling_scale():
     ids=["product-underflows", "product-overflows"],
 )
 def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
-    # the product of the middle gaps is -0.0 (no sign change) or overflows
+    # the product of the middle gaps is -0.0 (no sign change) or overflows; the two
+    # tracks are one-level components of block 1, which only a crossing scan compares
     basis = BLOCKS[1]
-    unit = np.eye(len(basis))
     tracks = [
-        Track(block=1, basis=basis, energies=np.array(e), vectors=np.tile(unit[k], (4, 1)))
+        Track(block=1, basis=(basis[k],), energies=np.array(e), vectors=np.ones((4, 1)))
         for k, e in enumerate((gaps, [0.0] * 4))
     ]
     system = SectorHamiltonian(*REFERENCE, None)
@@ -475,6 +376,89 @@ def test_bisection_makes_17_stacked_calls_per_exchanging_block(monkeypatch, alph
     assert Counter(sectors) == {sector: 17 for sector in exchanges}
     # one midpoint per report of the sector in every call
     assert sorted(solves) == sorted(n for n in exchanges.values() for _ in range(17))
+
+
+# --- tracks are the eigenvalue ranks of coupling-connected components -------
+
+def test_a_grid_that_jumps_a_narrow_anticrossing_reports_what_a_fine_grid_does():
+    # at (0.001, 0.002) five anticrossings of gap 4e-4 to 4e-2 lie within a few
+    # default grid steps of beta = 1; the default grid reports them as 40,001 points do
+    coarse = find_anticrossings(sweep_spectrum(0.001, 0.002))
+    fine = find_anticrossings(sweep_spectrum(0.001, 0.002, linear_grid(0.2, 3.0, 40001)))
+    assert [(r.block, r.pair, r.kind) for r in coarse] == [(r.block, r.pair, r.kind) for r in fine]
+    assert len(coarse) == 5 and all(r.kind == "anticrossing" for r in coarse)
+    bracket = (spectrum.DEFAULT_BETA_GRID[1] - spectrum.DEFAULT_BETA_GRID[0]) / 2**16
+    for r, f in zip(coarse, fine):
+        assert abs(r.beta_star - f.beta_star) <= bracket
+        assert r.min_gap == pytest.approx(f.min_gap, rel=2e-4)
+
+
+def test_gaps_at_a_zero_coupling_are_those_of_the_mirror_block():
+    # at alpha_a = 0 nucleus a is a spectator: block 0 with m_a = +1/2 and block -1
+    # with m_a = -1/2 hold the same problem of the electrons and nucleus b, shifted
+    # by mu, so each exchange has the gap of its mirror; a decoupled level that
+    # crosses the track exactly is no partner
+    sweep = sweep_spectrum(0.0, 0.3)
+    reports = {(r.block, r.pair): r for r in find_anticrossings(sweep)}
+    assert sorted((key, r.kind) for key, r in reports.items()) == [
+        ((-1, (12, 14)), "crossing"),
+        ((-1, (12, 15)), "anticrossing"),
+        ((-1, (15, 12)), "anticrossing"),
+        ((0, (10, 13)), "anticrossing"),
+        ((0, (13, 10)), "anticrossing"),
+    ]
+    for zero, minus_one in (((13, 10), (15, 12)), ((10, 13), (12, 15))):
+        r, mirror = reports[0, zero], reports[-1, minus_one]
+        assert r.beta_star == mirror.beta_star
+        assert abs(r.min_gap - mirror.min_gap) <= 1e-12
+        assert r.min_gap > 0.2
+
+
+def test_an_exchange_narrower_than_the_final_bracket_is_a_crossing():
+    # at (alpha_a, 0.3) the block -1 levels entering as 14 and 15 anticross with a gap
+    # linear in alpha_a; at 1e-20 the final bisection bracket (a grid step / 2**16)
+    # cannot tell the gap from zero, at 1e-6 and 1e-4 it can
+    def exchange(alpha_a):
+        (r,) = [r for r in find_anticrossings(sweep_spectrum(alpha_a, 0.3)) if r.pair == (14, 15)]
+        return r
+
+    tiny, weak, weaker = exchange(1e-20), exchange(1e-4), exchange(1e-6)
+    assert (tiny.block, tiny.kind, tiny.partner) == (-1, "crossing", 14)
+    assert 0.0 < tiny.min_gap < 1e-7
+    for r in (weak, weaker):
+        assert (r.block, r.kind, r.partner) == (-1, "anticrossing", 14)
+    assert weaker.min_gap / 1e-6 == pytest.approx(weak.min_gap / 1e-4, rel=2e-3)
+
+
+@pytest.mark.parametrize(
+    "alphas, grid",
+    [(REFERENCE, None), ((0.001, 0.002), None), ((0.0, 0.3), None), ((0.0633, 0.0633), FINE_GRID),
+     ((0.0, 0.125), np.linspace(0.0, 1.0, 2001))],
+    ids=["readme", "weak", "alpha-a-zero", "anticross-fine", "alpha-a-zero-fine"],
+)
+def test_the_entering_weight_of_its_rank_column_crosses_one_half_at_beta_star(alphas, grid):
+    # independent of the eigensolver: np.linalg.eigh of each component's H, built from
+    # build_hamiltonian and the component's states, on either side of beta_star by half
+    # the final bracket; the rank-k column is the track's
+    sweep = sweep_spectrum(*alphas, grid)
+    half = np.max(np.diff(sweep.beta_grid)) / 2**17
+    checked = 0
+    for r in find_anticrossings(sweep):
+        if r.kind != "anticrossing" or r.enter_weight < 0.5:
+            continue  # a crossing, or an exchange located by the dominance swap
+        (track,) = [
+            t for t in sweep.tracks if t.block == r.block and (t.dominant(-1)[0], t.dominant(0)[0]) == r.pair
+        ]
+        sector, rank = sector_of(sweep.system, track), rank_of(sweep, track)
+        rotation = sector_rotation(sector)
+        weights = []
+        for beta in (r.beta_star - half, r.beta_star + half):
+            p = SpinParams(*alphas, beta, MU_OVER_BETA * beta)
+            h = rotation.T @ block_decompose(build_hamiltonian(p))[BLOCK_ORDER.index(r.block)].matrix @ rotation
+            weights.append(np.linalg.eigh(h)[1][sector.labels.index(r.pair[0]), rank] ** 2)
+        assert weights[0] - 1e-9 <= 0.5 <= weights[1] + 1e-9
+        checked += 1
+    assert checked >= 2
 
 
 # --- adiabatic transfer trace -----------------------------------------------
@@ -571,7 +555,7 @@ def label_image(sweep, swapped):
     keeps.  Reports are (block, pair, kind, beta_star, min_gap, enter_weight),
     sorted; traces are (block, enter label, exit label) in level order.
     """
-    relabel = SWAP.__getitem__ if swapped and sweep.system.sectors != EXCHANGE_SECTORS else int
+    relabel = SWAP.__getitem__ if swapped and sweep.tracks[0].parity == 0 else int
     reports = sorted(
         (r.block, tuple(map(relabel, r.pair)), r.kind, r.beta_star, r.min_gap, r.enter_weight)
         for r in find_anticrossings(sweep)
@@ -626,7 +610,9 @@ def test_swapping_the_donors_maps_every_label_through_the_swap():
 def test_two_level_sectors_match_the_closed_form(alpha, betas, mu):
     system = SectorHamiltonian(alpha, alpha, mu)
     two_level = [s for key in BLOCK_ORDER for s in system.sectors[key] if len(s.labels) == 2]
-    assert [(s.block, s.parity) for s in two_level] == [(0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    # at alpha = 0 the block 0 even sector splits 1 + 2 + 1, and the blocks +-1 sectors 1 + 1
+    expected = [(0, 1), (0, -1)] if alpha == 0.0 else [(0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert [(s.block, s.parity) for s in two_level] == expected
     for sector in two_level:
         w, _ = eigensolve_block(system.stack(sector, betas))
         rotation = sector_rotation(sector)
@@ -710,6 +696,11 @@ def test_eq19_is_the_split_of_the_lowest_even_and_odd_block_minus_one_tracks(alp
     rels = np.abs(lowest[1] - lowest[-1] - closed) / closed
     assert rels[0] < 2e-4
     assert np.all(rels[1:] < rels[:-1] / 3.0)  # falls about as 1/beta^2
+
+
+def with_fine_window(grid):
+    """A uniform ``grid`` plus points a tenth of its step apart on [0.8, 1.2], around beta = 1."""
+    return np.union1d(grid, np.arange(0.8, 1.2, (grid[1] - grid[0]) / 10))
 
 
 def in_basis_order(order):

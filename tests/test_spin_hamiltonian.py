@@ -1,8 +1,12 @@
+import math
 from dataclasses import astuple
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sidonor.spectrum import eigensolve_block
 from sidonor.spin_hamiltonian import (
@@ -12,6 +16,7 @@ from sidonor.spin_hamiltonian import (
     EXCHANGE_SECTORS,
     MU_OVER_BETA,
     SWAP,
+    SWAP_ROUNDING,
     WHOLE_BLOCKS,
     BlockStructureError,
     SpinParams,
@@ -246,6 +251,101 @@ def test_solver_sectors_split_blocks_where_the_swap_commutes_to_rounding():
         sectors = solver_sectors(field_free_hamiltonian(0.3, alpha_b))
         assert sectors == EXCHANGE_SECTORS
         assert [s.labels for s in sectors[-1]] == [(8, 14), (12, 15)]
+
+
+def component_labels(alpha_a, alpha_b):
+    sectors = solver_sectors(field_free_hamiltonian(alpha_a, alpha_b))
+    return {key: [(c.parity, c.labels) for c in sectors[key]] for key in BLOCK_ORDER}
+
+
+def test_solver_sectors_split_where_a_coupling_is_exactly_zero():
+    # alpha_a = 0 frees nucleus a: each whole block splits by m_a
+    assert component_labels(0.0, 0.3) == {
+        0: [(0, (4, 7, 11)), (0, (6, 10, 13))],
+        1: [(0, (2, 5, 9)), (0, (3,))],
+        -1: [(0, (8, 12, 15)), (0, (14,))],
+        2: [(0, (1,))],
+        -2: [(0, (16,))],
+    }
+    # no coupling at all: only the electron flip-flop couples two states of one sector
+    assert component_labels(0.0, 0.0) == {
+        0: [(1, (4,)), (1, (6, 7)), (1, (13,)), (-1, (10, 11))],
+        1: [(1, (2,)), (1, (5,)), (-1, (3,)), (-1, (9,))],
+        -1: [(1, (8,)), (1, (14,)), (-1, (12,)), (-1, (15,))],
+        2: [(1, (1,))],
+        -2: [(1, (16,))],
+    }
+    # couplings one ulp apart, in either order, give the components of equal ones: the sectors
+    expected = {key: [(s.parity, s.labels) for s in EXCHANGE_SECTORS[key]] for key in BLOCK_ORDER}
+    for alphas in ((0.3, 0.3), (0.3, 0.30000000000000004), (0.30000000000000004, 0.3)):
+        assert component_labels(*alphas) == expected
+
+
+def nearby(alpha_a, relation, free):
+    return {"zero": 0.0, "equal": alpha_a, "ulp up": np.nextafter(alpha_a, np.inf),
+            "ulp down": np.nextafter(alpha_a, -np.inf), "free": free}[relation]
+
+
+@cache
+def exact_zeeman():
+    """The electron and the nuclear Zeeman operators, exact."""
+    return madd(one(SZ, 0), one(SZ, 1)), madd(one(SZ, 2), one(SZ, 3))
+
+
+def unnormalized_state(component, label):
+    """State ``label`` of ``component`` times 1 or sqrt(2), as {basis index - 1: integer coefficient}."""
+    if component.parity == 0 or SWAP[label] == label:
+        return {label - 1: 1}
+    return {label - 1: component.parity, SWAP[label] - 1: 1}
+
+
+def entry(x, op, y):
+    return sum(cx * op[k][l] * cy for k, cx in x.items() for l, cy in y.items())
+
+
+def is_float_zero(coupling, x, y):
+    """Whether the entry between the normalized states, coupling / sqrt(len(x) len(y)), rounds to 0.0."""
+    return coupling**2 <= len(x) * len(y) * Fraction(1, 2**1075) ** 2  # half the least subnormal
+
+
+@settings(max_examples=60)
+@given(
+    alpha_a=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)),
+    relation=st.sampled_from(["zero", "equal", "ulp up", "ulp down", "free"]),
+    free=st.floats(-2.0, 2.0),
+)
+def test_components_are_connected_and_decoupled_at_every_beta(alpha_a, relation, free):
+    # the couplings of the components' states in the field-free H of build_hamiltonian,
+    # summed exactly and then rounded: each component is connected, and its couplings
+    # to any other component are exactly 0.0 within its sector and even-odd rounding
+    # across the two sectors; Cb and Cm, the field terms, couple no two states, so no
+    # beta couples two components
+    alpha_b = nearby(alpha_a, relation, free)
+    h0 = field_free_hamiltonian(alpha_a, alpha_b)
+    exact = [[Fraction(x) for x in row] for row in h0.tolist()]
+    zeeman_e, zeeman_n = exact_zeeman()
+    for key, components in solver_sectors(h0).items():
+        idx = np.array(BLOCKS[key]) - 1
+        rounding = (SWAP_ROUNDING + 8) * np.finfo(float).eps * np.max(np.abs(h0[np.ix_(idx, idx)]))
+        states = [(c, label, unnormalized_state(c, label)) for c in components for label in c.labels]
+        links = {}  # label -> the labels of its component that it couples to
+        for ci, i, x in states:
+            for cj, j, y in states:
+                if i == j:
+                    continue
+                assert entry(x, zeeman_e, y) == entry(x, zeeman_n, y) == 0
+                coupling = entry(x, exact, y)
+                if ci == cj:
+                    links.setdefault(i, set()).update(set() if is_float_zero(coupling, x, y) else {j})
+                elif ci.parity == cj.parity:
+                    assert is_float_zero(coupling, x, y)
+                else:
+                    assert abs(float(coupling)) <= rounding * math.sqrt(len(x) * len(y))
+        for c in components:
+            reached = {c.labels[0]}
+            for _ in c.labels:
+                reached |= {j for i in reached for j in links.get(i, ())}
+            assert reached == set(c.labels)
 
 
 def test_mu_beta_ratio_value():
