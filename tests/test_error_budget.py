@@ -291,7 +291,8 @@ def test_voltage_error_reference_band():
     # close to the plain linear bound away from the stationary point
     linear_bound = 1e4 / (1.15e8 * abs(bound.slope))
     assert bound.dV == pytest.approx(linear_bound, rel=0.01)
-    assert not bound.stationary
+    # the linear term dominates the bound
+    assert abs(voltage_polynomial(DISC)[1]) * bound.dV < abs(bound.slope)
 
 
 def test_nan_or_negative_voltage_and_line_width_are_refused():
@@ -329,11 +330,10 @@ def test_voltage_error_monotonicity():
     assert steep < flat
 
 
-def test_voltage_error_stationary_point_flagged():
+def test_voltage_error_at_the_stationary_point_is_the_quadratic_bound():
     lin, quad = voltage_polynomial(DISC)
     v_star = -lin / (2 * quad)  # distinguished voltage: linear sensitivity vanishes
     bound = admissible_voltage_error(DISC, v_star, line_width=1e4, A0_Hz=1.15e8)
-    assert bound.stationary
     quad_bound = math.sqrt(1e4 / (1.15e8 * abs(quad)))
     assert bound.dV == pytest.approx(quad_bound, rel=1e-6)
     # the stationary point buys a much larger admissible error
@@ -341,8 +341,11 @@ def test_voltage_error_stationary_point_flagged():
 
 
 def test_strip_zero_voltage_quadratic_bound():
+    # the strip's V-linear coefficient is zero, so V = 0 is its stationary point
     bound = admissible_voltage_error(STRIP, 0.0, line_width=1e4, A0_Hz=1.15e8)
-    assert bound.stationary and bound.dV > 0
+    quad = voltage_polynomial(STRIP)[1]
+    assert bound.slope == 0.0
+    assert bound.dV == pytest.approx(math.sqrt(1e4 / (1.15e8 * abs(quad))), rel=1e-12)
 
 
 def bits(values):
@@ -365,10 +368,9 @@ def test_voltage_array_gives_each_voltage_the_bits_of_the_float_call():
     for gate, line_width in ((DISC, 1e4), (STRIP, 1e4), (DISC, 0.0)):
         bound = admissible_voltage_error(gate, V, line_width)
         scalar = [admissible_voltage_error(gate, v, line_width) for v in volts]
-        assert all(type(b.dV) is float and type(b.stationary) is bool for b in scalar)
+        assert all(type(b.dV) is float and type(b.slope) is float for b in scalar)
         assert np.array_equal(bits(bound.dV), bits([b.dV for b in scalar]))
         assert np.array_equal(bits(bound.slope), bits([b.slope for b in scalar]))
-        assert bound.stationary.tolist() == [b.stationary for b in scalar]
 
 
 def test_material_override_propagates():
