@@ -14,17 +14,18 @@ no eigenvector is matched between grid points.  This module builds no
 matrix: every H(beta) it solves comes from
 ``spin_hamiltonian.SectorHamiltonian.stack``.  On top of the tracks:
 
-* :func:`find_anticrossings` locates level crossings (sign changes of the
-  gap between tracks of different components, which never couple) and
-  anticrossings.  An anticrossing is detected as a *character exchange*: a
-  track whose dominant basis state at the high-beta end differs from the
-  one at the low-beta end.  Its location ``beta_star`` is the half-transfer
-  point where the entering character's weight crosses 1/2, and ``min_gap``
-  is the distance to the nearest level of the same component there.  For
-  weakly coupled pairs this reduces to the textbook minimum-gap point; for
-  the strongly mixed regime (alpha ~ 0.3) it remains well defined where a
-  plain adjacent-gap minimum does not.  An exchange whose gap the final
-  bisection bracket cannot tell from a crossing is reported as one.
+* :func:`find_anticrossings` locates level crossings (sign changes, across
+  ties within CROSSING_TOL, of the gap between tracks of different
+  components, which never couple) and anticrossings.  An anticrossing is
+  detected as a *character exchange*: a track whose dominant basis state at
+  the high-beta end differs from the one at the low-beta end.  Its location
+  ``beta_star`` is the half-transfer point where the entering character's
+  weight crosses 1/2, and ``min_gap`` is the distance to the nearest level
+  of the same component there.  For weakly coupled pairs this reduces to the
+  textbook minimum-gap point; for the strongly mixed regime (alpha ~ 0.3) it
+  remains well defined where a plain adjacent-gap minimum does not.  An
+  exchange whose gap the final bisection bracket cannot tell from a crossing
+  is reported as one.
 * :func:`adiabatic_transfer_trace` certifies which basis state each track
   turns into across the sweep, with the dominant weights at both ends.
 * :func:`eq19_gap_dimensionless` is the strong-field closed form, in units
@@ -52,7 +53,7 @@ from .spin_hamiltonian import BASIS, BLOCK_ORDER, Sector, SectorHamiltonian
 
 DEFAULT_BETA_GRID = np.array(linear_grid(*DEFAULT_BETA_RANGE))
 
-# a gap below CROSSING_TOL times the local energy scale (at least 1) is a crossing
+# two energies within CROSSING_TOL times their energy scale (at least 1) are equal
 CROSSING_TOL = 1e-9
 
 # lowest electron level at strong field: both electrons down (M = -1)
@@ -307,10 +308,10 @@ def _exchange_reports(sweep: SpectrumSweep, sector: Sector, tracks: list[Track])
 def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[AnticrossingReport]:
     """Crossing reports of one block: each sign change of the energy difference of two components' tracks.
 
-    Tracks of two components of a block never couple, so they cross exactly,
-    and each sign change between them is a crossing.  Two tracks of one
-    component never cross.  A pair within CROSSING_TOL everywhere is
-    degenerate, not crossing.
+    Tracks of two components never couple, so they cross exactly.  A
+    difference within CROSSING_TOL times the energy scale is a tie, and a
+    crossing is a sign change between untied grid points i < j with only ties
+    between them, linearly interpolated; labels and weights are read at j.
     """
     betas = sweep.beta_grid
     out = []
@@ -319,24 +320,21 @@ def _crossing_reports(sweep: SpectrumSweep, block_tracks: list[Track]) -> list[A
             if block_tracks[s].basis == block_tracks[t].basis:
                 continue  # one component
             d = block_tracks[s].energies - block_tracks[t].energies
-            scale = max(
+            tol = CROSSING_TOL * max(
                 1.0,
                 float(np.max(np.abs(block_tracks[s].energies))),
                 float(np.max(np.abs(block_tracks[t].energies))),
             )
-            if np.max(np.abs(d)) <= CROSSING_TOL * scale:
-                continue  # degenerate pair everywhere, not a crossing
             # explicit sign tests: a product of the gaps can overflow, or
             # underflow to -0.0 and hide a real sign change
-            d0, d1 = d[:-1], d[1:]
-            hits = np.flatnonzero(
-                (d0 == 0.0) | ((d0 < 0.0) & (d1 > 0.0)) | ((d0 > 0.0) & (d1 < 0.0))
-            )
-            for i in hits.tolist():
-                frac = 0.0 if d[i] == 0.0 else d[i] / (d[i] - d[i + 1])
-                bstar = betas[i] + frac * (betas[i + 1] - betas[i])
-                lab_s, w_s = block_tracks[s].dominant(i + 1)
-                lab_t, w_t = block_tracks[t].dominant(i + 1)
+            above = d > tol
+            untied = np.flatnonzero(above | (d < -tol))
+            flips = np.flatnonzero(above[untied[1:]] != above[untied[:-1]])
+            for i, j in zip(untied[flips].tolist(), untied[flips + 1].tolist()):
+                frac = d[i] / (d[i] - d[j])
+                bstar = betas[i] + frac * (betas[j] - betas[i])
+                lab_s, w_s = block_tracks[s].dominant(j)
+                lab_t, w_t = block_tracks[t].dominant(j)
                 out.append(
                     AnticrossingReport(
                         pair=(lab_s, lab_t),
@@ -357,7 +355,8 @@ def find_anticrossings(sweep: SpectrumSweep) -> list[AnticrossingReport]:
 
     Exchanges are found and bisected within each component (see
     :func:`_exchange_reports` for when one is a crossing).  Crossings are
-    found between the tracks of different components of a block.
+    sign changes, past ties, between tracks of different components of a
+    block (see :func:`_crossing_reports`).
     Deterministic ordering by (beta_star, block, pair).
     """
     reports, crossings = [], []

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     odd_minus_one_anticrossing,
@@ -294,19 +294,82 @@ def test_gap_grows_with_coupling_scale():
     ids=["product-underflows", "product-overflows"],
 )
 def test_crossing_sign_change_is_found_without_a_gap_product(gaps):
-    # the product of the middle gaps is -0.0 (no sign change) or overflows; the two
-    # tracks are one-level components of block 1, which only a crossing scan compares
+    # the product of the middle gaps is -0.0 (no sign change) or overflows
+    with np.errstate(over="raise"):
+        reports = find_anticrossings(two_track_sweep(gaps))
+    assert [(r.kind, r.pair) for r in reports] == [("crossing", (BLOCKS[1][0], BLOCKS[1][1]))]
+    assert reports[0].beta_star == pytest.approx(1.15)
+
+
+def two_track_sweep(gaps):
+    """A sweep on 1.0, 1.1, 1.2, 1.3 whose only tracks differ by ``gaps``.
+
+    The two tracks are one-level components of block 1, which only the
+    crossing scan compares.
+    """
     basis = BLOCKS[1]
     tracks = [
         Track(block=1, basis=(basis[k],), energies=np.array(e), vectors=np.ones((4, 1)))
         for k, e in enumerate((gaps, [0.0] * 4))
     ]
-    system = SectorHamiltonian(*REFERENCE, None)
-    sweep = SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, system)
-    with np.errstate(over="raise"):
-        reports = find_anticrossings(sweep)
-    assert [(r.kind, r.pair) for r in reports] == [("crossing", (basis[0], basis[1]))]
-    assert reports[0].beta_star == pytest.approx(1.15)
+    return SpectrumSweep(np.array([1.0, 1.1, 1.2, 1.3]), tracks, SectorHamiltonian(*REFERENCE, None))
+
+
+@pytest.mark.parametrize(
+    "gaps, beta_stars",
+    [
+        ([1.0, 0.0, 1.0, 2.0], []),
+        ([0.0, 1.0, 2.0, 3.0], []),
+        ([-5.55e-17, 3.3e-4, 6.6e-4, 1e-3], []),
+        ([3.0, 1e-12, 0.0, -1.0], [1.225]),
+        ([1e-12, -1e-12, 1e-12, -1e-12], []),
+    ],
+    ids=["touch-and-part", "tie-at-the-first-point", "rounding-size-flip", "across-a-tie-run", "all-ties"],
+)
+def test_a_crossing_is_a_sign_change_between_untied_points(gaps, beta_stars):
+    # a gap within CROSSING_TOL is a tie; the crossing across the tie run is
+    # interpolated between its untied ends, 3 and -1
+    reports = find_anticrossings(two_track_sweep(gaps))
+    assert [r.kind for r in reports] == ["crossing"] * len(beta_stars)
+    assert [r.beta_star for r in reports] == pytest.approx(beta_stars)
+
+
+def test_levels_that_touch_at_the_first_point_and_part_do_not_cross():
+    # at (0, 0.125) from beta = 0, block 0 and block +-1 levels of different
+    # components are equal to rounding at the first point and then part; only
+    # the block -1 levels entering as 12 and 14 change sign, near beta = 1
+    sweep = sweep_spectrum(0.0, 0.125, np.linspace(0.0, 1.0, 2001))
+    crossings = [r for r in find_anticrossings(sweep) if r.kind == "crossing"]
+    assert [(r.block, r.pair) for r in crossings] == [(-1, (12, 14))]
+    assert crossings[0].beta_star == pytest.approx(0.99938, abs=1e-4)
+
+
+FINE_DEFAULT_GRID = np.array(linear_grid(*spectrum.DEFAULT_BETA_RANGE[:2], 4001))
+COUPLINGS = st.one_of(st.just(0.0), st.floats(-4.0, 0.0).map(lambda u: 10.0**u), st.floats(-0.6, 0.6))
+
+
+@settings(max_examples=6)
+@given(
+    alpha_a=COUPLINGS,
+    alpha_b=st.one_of(st.none(), COUPLINGS),  # None: alpha_b = alpha_a
+    mu=st.sampled_from([None, 0.0, 0.05]),
+)
+def test_reports_do_not_depend_on_the_grid(alpha_a, alpha_b, mu):
+    # the default grid and ten times as many points over the same range give the
+    # same reports, each beta_star within a default grid step.  The line
+    # alpha_b = -alpha_a is left out: there two levels of one component meet
+    # exactly, and which one a rank holds depends on the eigensolver
+    alpha_b = alpha_a if alpha_b is None else alpha_b
+    assume(alpha_a == 0.0 or alpha_b != -alpha_a)
+    coarse = find_anticrossings(sweep_spectrum(alpha_a, alpha_b, mu=mu))
+    fine = find_anticrossings(sweep_spectrum(alpha_a, alpha_b, FINE_DEFAULT_GRID, mu))
+    assert Counter((r.block, r.pair, r.kind) for r in coarse) == Counter((r.block, r.pair, r.kind) for r in fine)
+    step = spectrum.DEFAULT_BETA_GRID[1] - spectrum.DEFAULT_BETA_GRID[0]
+    for r in coarse:
+        assert any(
+            (f.block, f.pair, f.kind) == (r.block, r.pair, r.kind) and abs(f.beta_star - r.beta_star) <= step
+            for f in fine
+        )
 
 
 def test_reports_sorted_deterministically(reference_sweep):
