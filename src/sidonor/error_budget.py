@@ -256,28 +256,24 @@ def admissible_voltage_error(
 ) -> VoltageErrorBound:
     """Gate-voltage error keeping the hyperfine detuning below the line width.
 
-    Solves |slope| dV + |quad| dV^2 = line_width / A0 for dV, which reduces
-    to line_width / (A0 |slope|) away from stationary points and to the
-    quadratic bound sqrt(line_width / (A0 |quad|)) at one.  V is a float or
-    a 1-D array; dV and slope have its shape.  A negative or NaN V or line
-    width is refused.
+    Solves |slope| dV + |quad| dV^2 = t = line_width / A0 by the root form
+    2t / (|slope| + hypot(slope, 2 sqrt(|quad| t))), which cancels nothing:
+    t / |slope| for quad = 0, sqrt(t / |quad|) at a stationary point and 0
+    for t = 0.  V is a float or a 1-D array; dV and slope have its shape.  A
+    negative or NaN V or line width, or an A0_Hz that is not positive, is refused.
     """
-    if not (line_width >= 0):
-        raise ValueError("line_width must be non-negative")
     if not np.all(np.asarray(V) >= 0):
         raise ValueError("V must be non-negative")
     if A0_Hz is None:
         A0_Hz = hyperfine_constant_A0(mat)[1]
+    if not (line_width >= 0 and A0_Hz > 0):
+        raise ValueError("line_width must be non-negative and A0_Hz positive")
     lin, quad = voltage_polynomial(gate, mat)
     t = line_width / A0_Hz
     with np.errstate(all="ignore"):
         slope = lin + 2.0 * quad * np.asarray(V, dtype=float)
-        if t == 0.0:
-            dv = np.zeros_like(slope)
-        elif quad == 0.0:
-            dv = np.where(slope == 0.0, math.inf, t / abs(slope))
-        else:
-            dv = (-abs(slope) + np.sqrt(slope * slope + 4.0 * abs(quad) * t)) / (2.0 * abs(quad))
+        # sqrt(|quad|) sqrt(t), not sqrt(|quad| t): the product can leave the float range
+        dv = np.where(t == 0.0, 0.0, 2.0 * t / (abs(slope) + np.hypot(slope, 2.0 * math.sqrt(abs(quad)) * math.sqrt(t))))
     if np.ndim(V) == 0:  # a float V gives floats
         dv, slope = dv.item(), slope.item()
     return VoltageErrorBound(dV=dv, slope=slope)

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class Track:
 @dataclass(frozen=True)
 class SpectrumSweep:
     # tracks: blocks in listing order, ascending within a block at the first
-    # grid point, on an exact tie in component order and then by rank
+    # grid point; a tie there (within CROSSING_TOL) in component order, then by rank
     beta_grid: np.ndarray
     tracks: list[Track]
     system: SectorHamiltonian  # the Hamiltonian the tracks were solved with
@@ -221,10 +222,12 @@ def sweep_spectrum(
                 Track(block=key, basis=sector.labels, energies=w[:, k], vectors=v[:, :, k], parity=sector.parity)
                 for k in range(len(sector.states))
             ]
-        # stable: on an exact tie at the first grid point the earlier component comes
-        # first, and a component's tracks stay in rank order
-        block_tracks.sort(key=lambda track: track.energies[0])
-        tracks += block_tracks
+        # ascending at the first grid point; ties there (within tol) keep the build order: component, then rank
+        first = [float(track.energies[0]) for track in block_tracks]
+        tol = CROSSING_TOL * max(1.0, *map(abs, first))
+        order = sorted(range(len(first)), key=first.__getitem__)
+        tie_group = accumulate((first[j] - first[i] > tol for i, j in zip(order, order[1:])), initial=0)
+        tracks += [block_tracks[i] for _, i in sorted(zip(tie_group, order))]
     return SpectrumSweep(betas, tracks, system)
 
 

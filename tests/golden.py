@@ -26,7 +26,11 @@ tree it changes, for example a ``git archive`` of the parent commit, with::
 under each ``--format`` their command takes, seeds 0-2 of every benchmark
 workload, and ``validate`` -- in a fresh interpreter on ``src/`` and on the
 other tree, with one BLAS thread, and reports every exit code, stdout,
-stderr and file that is not byte-identical.  It exits 1 if there is one.
+stderr and file that is not byte-identical.  For a table or JSON document it
+also compares the whole parsed file by :func:`differences`, and says whether
+it is within the tolerance above and what its largest relative float
+difference is, in which column or key.  It exits 1 if there is a byte
+difference.
 """
 
 from __future__ import annotations
@@ -88,14 +92,16 @@ def _value(text: str):
     return text
 
 
-def _reduce_table(name: str, text: str) -> dict:
+def _reduce_table(name: str, text: str, sample: bool = True) -> dict:
     header, *rows = csv.reader(io.StringIO(text))
-    if name == "spectrum.csv":  # all rows of every 25th beta
-        kept = set(list(dict.fromkeys(row[0] for row in rows))[::25])
-        sample = [row for row in rows if row[0] in kept]
+    if not sample:
+        kept = rows
+    elif name == "spectrum.csv":  # all rows of every 25th beta
+        beta_kept = set(list(dict.fromkeys(row[0] for row in rows))[::25])
+        kept = [row for row in rows if row[0] in beta_kept]
     else:
-        sample = rows[::101 if name == "nulling.csv" else 1]
-    columns = {key: [_value(row[j]) for row in sample] for j, key in enumerate(header)}
+        kept = rows[::101 if name == "nulling.csv" else 1]
+    columns = {key: [_value(row[j]) for row in kept] for j, key in enumerate(header)}
     return {"header": header, "rows": len(rows), "columns": columns}
 
 
@@ -124,25 +130,44 @@ def load_reference(case: str) -> dict:
     return json.loads((GOLDEN / f"{CASES[case][2]}.json").read_text(encoding="utf-8"))
 
 
+def _leaves(got, want, where: str = "", field: str = ""):
+    """(where, field, got, want) of each leaf of the reference ``want``; a part of ``got`` of another shape is one leaf.
+
+    ``field`` is the innermost dict key: a table column or a record's key.
+    """
+    if isinstance(want, dict) and isinstance(got, dict) and got.keys() == want.keys():
+        for key in want:
+            yield from _leaves(got[key], want[key], f"{where}/{key}", key)
+    elif isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _leaves(g, w, f"{where}[{i}]", field)
+    else:
+        yield where, field, got, want
+
+
+def _relative(got: float, want: float) -> float:
+    """|got - want| over the larger magnitude: 0 for equal floats or two NaNs, inf past a non-finite one."""
+    if got == want or (math.isnan(got) and math.isnan(want)):
+        return 0.0
+    diff = abs(got - want)
+    return diff / max(abs(got), abs(want)) if diff < math.inf else math.inf
+
+
 def differences(got, want, where: str = "", field: str = "") -> list[str]:
     """Every place where ``got`` departs from the reference ``want``."""
-    if isinstance(want, dict):
-        if not isinstance(got, dict) or got.keys() != want.keys():
-            return [f"{where}: keys {sorted(got) if isinstance(got, dict) else got!r} != {sorted(want)}"]
-        return [d for key in want for d in differences(got[key], want[key], f"{where}/{key}", key)]
-    if isinstance(want, list):
-        if not isinstance(got, list) or len(got) != len(want):
-            return [f"{where}: {len(got) if isinstance(got, list) else got!r} items != {len(want)}"]
-        return [d for i, (g, w) in enumerate(zip(got, want)) for d in differences(g, w, f"{where}[{i}]", field)]
-    if type(got) is float and type(want) is float:
-        if got == want or (math.isnan(got) and math.isnan(want)):
-            return []
-        scale = 1.0 if field in ABSOLUTE else max(abs(got), abs(want))
-        if abs(got - want) <= TOL * scale:
-            return []
-    elif type(got) is type(want) and got == want:
-        return []
-    return [f"{where}: {got!r} != {want!r}"]
+    found = []
+    for at, key, g, w in _leaves(got, want, where, field):
+        if isinstance(w, dict):
+            found.append(f"{at}: keys {sorted(g) if isinstance(g, dict) else g!r} != {sorted(w)}")
+        elif isinstance(w, list):
+            found.append(f"{at}: {len(g) if isinstance(g, list) else g!r} items != {len(w)}")
+        elif type(g) is float and type(w) is float:
+            scale = 1.0 if key in ABSOLUTE else max(abs(g), abs(w))
+            if not (_relative(g, w) == 0.0 or abs(g - w) <= TOL * scale):
+                found.append(f"{at}: {g!r} != {w!r}")
+        elif not (type(g) is type(w) and g == w):
+            found.append(f"{at}: {g!r} != {w!r}")
+    return found
 
 
 def write_references() -> None:
@@ -204,8 +229,25 @@ def _run_fresh(src: pathlib.Path, args: list[str], config: str | None, run_dir: 
     return out
 
 
+def _tolerance_summary(name: str, got: bytes, want: bytes) -> str:
+    """Whether a whole table or JSON document is within the tolerance, and its largest relative float difference."""
+    try:
+        g, w = (_reduce_table(name, b.decode(), sample=False) if name.endswith(".csv") else json.loads(b)
+                for b in (got, want))
+    except ValueError as exc:
+        return f"not parsed ({exc})"
+    found = differences(g, w)
+    rel, field = max(((_relative(a, b), field) for _, field, a, b in _leaves(g, w)
+                      if type(a) is float and type(b) is float), key=lambda pair: pair[0], default=(0.0, ""))
+    verdict = f"{len(found)} differences beyond the tolerance" if found else "within the tolerance"
+    return f"{verdict}; largest relative difference {rel:.3g}" + (f" in {field}" if rel else "")
+
+
 def _byte_differences(got: dict, want: dict) -> list[str]:
-    """Every stream or file of two fresh runs that is not byte-identical, with its first differing line."""
+    """Every stream or file of two fresh runs that is not byte-identical, with its first differing line.
+
+    A differing table or JSON document also gets its :func:`_tolerance_summary`.
+    """
     found = []
     for key in sorted(got.keys() | want.keys()):
         if key not in want or key not in got:
@@ -220,6 +262,8 @@ def _byte_differences(got: dict, want: dict) -> list[str]:
         found.append(f"{key}: {len(lines) + abs(len(a) - len(b))} differing lines of {len(a)} and {len(b)};"
                      f" first at line {first + 1}: {a[first] if first < len(a) else ''!r}"
                      f" != {b[first] if first < len(b) else ''!r}")
+        if key.startswith("file ") and key.endswith((".csv", ".json")):
+            found[-1] += f"; {_tolerance_summary(key[len('file '):], got[key], want[key])}"
     return found
 
 

@@ -9,7 +9,8 @@ from their closed forms (:func:`two_level_eigenvalues`,
 builds from the spin projections, the exchanges at weak coupling from
 first-order degenerate perturbation theory (:func:`weak_coupling_exchanges`),
 and the placement error terms from the paper's displaced-field brackets
-(:func:`displaced_field_brackets`).  The exceptions are the per-point loops
+(:func:`displaced_field_brackets`), and the admissible voltage error from a
+decimal root (:func:`admissible_dv`).  The exceptions are the per-point loops
 that whole-grid code must reproduce bit for bit: :func:`per_report_bisection`
 for the lockstep bisection in ``find_anticrossings``, :func:`per_point_nulling`
 for the mesh search in ``find_nulling_parameters``, :func:`per_row_error_budget` for the
@@ -324,6 +325,26 @@ def displaced_field_brackets(a, c, dx, dz):
           - dx**2 * (4.0 * c**4 + a**2 * c**2 - a**4) / (2.0 * c**2 * s**2))
     b3 = 1.0 - dz * (2.0 * c**2 - a**2) / (c * s) - dx**2 * (2.0 * c**2 + a**2) / (2.0 * s**2)
     return b1, b2, b3
+
+
+def admissible_dv(lin, quad, V, t):
+    """The non-negative root dV of |s| dV + |quad| dV^2 = t, in 80-digit decimal arithmetic.
+
+    s = lin + 2 quad V is the slope as a float computes it, the slope that
+    ``admissible_voltage_error`` reports: near a stationary point its own
+    rounding decides the bound, and the oracle checks the root of that
+    equation.  The root is exact to 80 digits before its one rounding to a
+    float; dV is inf where s = quad = 0 < t.
+    """
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        s, q, t = (abs(decimal.Decimal(x)) for x in (lin + 2.0 * quad * V, quad, t))
+        if t == 0:
+            return 0.0
+        disc = s * s + 4 * q * t
+        return math.inf if disc == 0 else float(2 * t / (s + disc.sqrt()))
 
 
 def per_point_nulling(target, ranges, grid_points=101, min_dz=1e-9):

@@ -17,13 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import per_row_error_budget, write_table
+from oracles import admissible_dv, per_row_error_budget, write_table
 
 from sidonor import cli
 from sidonor.acceptance import CriterionResult
 from sidonor.cli import main
 from sidonor.config import ConfigError, load_config, parse_number, parse_quantity, set_by_path
+from sidonor.constants import hyperfine_constant_A0
 from sidonor.error_budget import find_nulling_parameters
+from sidonor.hyperfine import voltage_polynomial
 from sidonor.spectrum import DEFAULT_BETA_GRID
 
 DISC_CONFIG = {
@@ -713,23 +715,43 @@ def test_non_finite_or_unordered_config_exits_2_and_writes_nothing(
 
 
 @pytest.mark.parametrize(
-    "override, field",
+    "overrides, field",
     [
-        ('material.Delta_E="1e-300 J"', "material"),  # admissible_dV is inf
-        ('material.Delta_E="1e300 J"', "material"),  # admissible_dV is negative
-        ('material.Delta_E="1e295 J"', "material"),  # recomputed dz_for_target is inf
-        ('voltage.values=["1e-300 V","0.5 V"]', "voltage"),  # published dz_for_target is inf
+        # line_width / A0 overflows, so admissible_dV is not finite
+        (['material.psi0_sq="1e-250 m^-3"', 'error_budget.line_width="1e300 MHz"'], "material"),
+        (['material.Delta_E="1e295 J"'], "material"),  # recomputed dz_for_target is inf
+        (['voltage.values=["1e-300 V","0.5 V"]'], "voltage"),  # published dz_for_target is inf
     ],
-    ids=["inf-admissible_dV", "negative-admissible_dV", "inf-recomputed-dz", "inf-published-dz"],
+    ids=["inf-admissible_dV", "inf-recomputed-dz", "inf-published-dz"],
 )
-def test_error_budget_cell_that_is_no_finite_bound_exits_2(tmp_path, capsys, override, field):
+def test_error_budget_cell_that_is_no_finite_bound_exits_2(tmp_path, capsys, overrides, field):
     cfg = write_config(tmp_path, README_CONFIG)
     out = tmp_path / "out"
-    assert main(["error-budget", "--config", cfg, "--out-dir", str(out), "--set", override]) == 2
+    argv = ["error-budget", "--config", cfg, "--out-dir", str(out)]
+    for assignment in overrides:
+        argv += ["--set", assignment]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_error_budget_tiny_Delta_E_gives_the_decimal_root_in_every_admissible_dV(tmp_path):
+    # the quadratic coefficient is huge and the slope tiny, so slope^2 and
+    # 4 |quad| t lie ~280 decades apart: the bounds are sqrt(t / |quad|) at 0 V
+    # and t / |slope| elsewhere, both finite
+    override = 'material.Delta_E="1e-300 J"'
+    cfg = write_config(tmp_path, README_CONFIG)
+    out = tmp_path / "out"
+    assert main(["error-budget", "--config", cfg, "--out-dir", str(out), "--set", override]) == 0
+    rows = json.loads((out / "error_budget.json").read_text(encoding="utf-8"))
+    run = load_config(cfg, [override])
+    lin, quad = voltage_polynomial(run.gate, run.material)
+    t = run.line_width / hyperfine_constant_A0(run.material)[1]
+    for row in rows:
+        want = admissible_dv(lin, quad, row["V"], t)
+        assert 0.0 < want < math.inf and abs(row["admissible_dV"] - want) <= 4 * math.ulp(want)
 
 
 TEXT_CELLS = ("", "published", "recomputed")  # error-budget cells that are no numbers

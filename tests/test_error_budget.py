@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import displaced_field_brackets, per_point_nulling
+from oracles import admissible_dv, displaced_field_brackets, per_point_nulling
 
-from sidonor.constants import MaterialParams
+from sidonor.constants import DEFAULT_MATERIAL, MaterialParams, hyperfine_constant_A0
 from sidonor.electrostatics import GateGeometry
 from sidonor.error_budget import (
     PlacementError,
@@ -302,6 +302,9 @@ def test_nan_or_negative_voltage_and_line_width_are_refused():
     for line_width in (math.nan, -1.0):
         with pytest.raises(ValueError, match="line_width must be non-negative"):
             admissible_voltage_error(DISC, 1.0, line_width=line_width)
+    for A0_Hz in (math.nan, 0.0, -1.15e8):
+        with pytest.raises(ValueError, match="A0_Hz positive"):
+            admissible_voltage_error(DISC, 1.0, A0_Hz=A0_Hz)
 
 
 def test_dz_for_target_and_voltage_error_refuse_negative_or_nan_voltage():
@@ -346,6 +349,21 @@ def test_strip_zero_voltage_quadratic_bound():
     quad = voltage_polynomial(STRIP)[1]
     assert bound.slope == 0.0
     assert bound.dV == pytest.approx(math.sqrt(1e4 / (1.15e8 * abs(quad))), rel=1e-12)
+
+
+@given(
+    gate=st.sampled_from([STRIP, DISC]),
+    V=st.floats(0.0, 2.0),
+    log_line_width=st.floats(-10.0, 6.0),  # Hz
+    A0_Hz=st.sampled_from([None, 1.15e8]),  # None: computed from the material
+)
+def test_voltage_error_is_the_decimal_root_within_4_ulp(gate, V, log_line_width, A0_Hz):
+    # the disc's stationary point (about 1.998 V) lies in the range, and small
+    # line widths make 4 |quad| t negligible next to slope^2
+    line_width = 10.0**log_line_width
+    t = line_width / (hyperfine_constant_A0(DEFAULT_MATERIAL)[1] if A0_Hz is None else A0_Hz)
+    want = admissible_dv(*voltage_polynomial(gate), V, t)
+    assert abs(admissible_voltage_error(gate, V, line_width, A0_Hz).dV - want) <= 4 * math.ulp(want)
 
 
 def bits(values):

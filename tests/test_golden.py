@@ -1,7 +1,7 @@
 """The CLI's outputs on a fixed case set equal the committed references in tests/golden/."""
 
 import pytest
-from golden import CASES, ROOT, compare, differences, load_reference, run_case
+from golden import CASES, ROOT, _byte_differences, compare, differences, load_reference, run_case
 
 import sidonor.spectrum
 
@@ -33,3 +33,11 @@ def test_outputs_do_not_depend_on_eigenvector_signs(case, tmp_path, monkeypatch)
 
 def test_compare_finds_no_byte_difference_between_src_and_itself():
     assert compare(ROOT / "src", ["anticross"]) == []
+
+
+def test_compare_states_whether_a_differing_file_is_within_the_tolerance():
+    want = {"file t.csv": b"mode,energy,admissible_dV\nx,1.0,2.0\n", "file r.json": b'[{"dV": 1.0, "n": 1}]\n'}
+    got = {"file t.csv": b"mode,energy,admissible_dV\nx,1.0,2.0000000000004\n", "file r.json": b'[{"dV": 1.1, "n": 1}]\n'}
+    found = _byte_differences(got, want)
+    assert found[0].endswith("; 1 differences beyond the tolerance; largest relative difference 0.0909 in dV")
+    assert found[1].endswith("; within the tolerance; largest relative difference 2e-13 in admissible_dV")

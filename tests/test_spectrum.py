@@ -344,6 +344,31 @@ def test_levels_that_touch_at_the_first_point_and_part_do_not_cross():
     assert crossings[0].beta_star == pytest.approx(0.99938, abs=1e-4)
 
 
+@pytest.mark.parametrize("alpha_b", [0.125, 0.4])
+def test_levels_tied_at_the_first_point_are_listed_by_component_then_rank(alpha_b):
+    # at (0, 0.125) block 0 has a level of component 1 at 0.19061465220442173 and
+    # one of component 0 at 0.19061465220442186: their order must not be rounding's
+    sweep = sweep_spectrum(0.0, alpha_b, np.linspace(0.0, 1.0, 2001))
+
+    def component_and_rank(track):
+        # a component's ranks ascend at every beta, so their means do too
+        same = [t for t in sweep.tracks if (t.block, t.basis) == (track.block, track.basis)]
+        return ([s.labels for s in sweep.system.sectors[track.block]].index(track.basis),
+                sum(t.energies.mean() < track.energies.mean() for t in same))
+
+    ties = 0
+    for block in BLOCK_ORDER:
+        tracks = [t for t in sweep.tracks if t.block == block]
+        first = np.array([t.energies[0] for t in tracks])
+        tol = spectrum.CROSSING_TOL * max(1.0, float(np.max(np.abs(first))))
+        assert np.all(np.diff(first) >= -tol)
+        for lo, hi in zip(tracks, tracks[1:]):
+            if hi.energies[0] - lo.energies[0] <= tol:
+                ties += 1
+                assert component_and_rank(lo) < component_and_rank(hi)
+    assert ties > 0
+
+
 FINE_DEFAULT_GRID = np.array(linear_grid(*spectrum.DEFAULT_BETA_RANGE[:2], 4001))
 COUPLINGS = st.one_of(st.just(0.0), st.floats(-4.0, 0.0).map(lambda u: 10.0**u), st.floats(-0.6, 0.6))
 
